@@ -82,32 +82,11 @@ def cmd_rot_report(args) -> int:
     return _verdict_exit(all(report["verdicts"].values()))
 
 
-def _parab_profile_json(profile) -> dict:
-    return {
-        "report": "parab_h3_profile",
-        "params": {"a": profile.a, "b": profile.b, "c": 1.0},
-        "z0": profile.z0,
-        "tol": profile.tol,
-        "s_max": profile.s_max,
-        "s_bar": profile.s_bar if math.isfinite(profile.s_bar) else None,
-        "termination_cause": profile.cause,
-        "relation_residual": profile.max_relation_residual(),
-        "mirror_defect": parab_h3.mirror_defect(profile),
-        "derivative_identity_residual": parab_h3.derivative_identity_residual(profile),
-        "verdicts": {},
-    }
-
-
 def cmd_parab_integrate(args) -> int:
     out = _out_dir(args)
     profile = parab_h3.integrate_parabolic(args.a, args.b, args.z0, tol=args.tol)
     parab_h3.export_curve_csv(profile, out / "parab_curve.csv")
-    report = _parab_profile_json(profile)
-    report["verdicts"] = {
-        "relation_residual": report["relation_residual"] < 1e-9,
-        "mirror_symmetry": report["mirror_defect"] < 1e-7,
-        "derivative_identity": report["derivative_identity_residual"] < 1e-5,
-    }
+    report = parab_h3.profile_report(profile)
     _write_json(out / "parab_profile.json", report)
     return _verdict_exit(all(report["verdicts"].values()))
 
@@ -119,56 +98,36 @@ def cmd_parab_classify(args) -> int:
     return _verdict_exit(bool(cls.corroborated))
 
 
+def _cyclic_surface_from_args(args, surface):
+    if surface == "sphere":
+        return cyclic_r3.sphere_slice(args.radius)
+    if surface == "cone":
+        return cyclic_r3.generalized_cone(args.f0, args.f1, args.g0, args.g1, args.r0, args.r1,
+                                          (args.u_min, args.u_max))
+    return cyclic_r3.riemann_example(args.lam, args.mu, args.r0, args.r0p, (args.u_min, args.u_max))
+
+
 def cmd_cyclic_riemann(args) -> int:
     out = _out_dir(args)
-    spec = cyclic_r3.riemann_example(args.lam, args.mu, args.r0, args.r0p, (args.u_min, args.u_max))
-    max_h, max_k = cyclic_r3.max_curvature_magnitudes(spec)
-    ident = cyclic_r3.riemann_identity_residual(spec)
-    params = WeingartenParams(1, 0, 0)
-    cyclic_r3.export_residual_csv(spec, params, out / "cyclic_residual.csv")
-    report = {
-        "report": "cyclic_riemann",
-        "lam": args.lam, "mu": args.mu, "r0": args.r0, "r0_prime": args.r0p,
-        "u_range": list(spec.u_range),
-        "max_abs_H": max_h,
-        "max_abs_K": max_k,
-        "radius_identity_residual": ident,
-        "verdicts": {"minimal": max_h < 1e-6, "radius_identity": ident < 1e-8},
-    }
+    spec = _cyclic_surface_from_args(args, "riemann")
+    cyclic_r3.export_residual_csv(spec, cyclic_r3.MINIMAL, out / "cyclic_residual.csv")
+    report = cyclic_r3.riemann_json(spec)
     _write_json(out / "cyclic_riemann.json", report)
     return _verdict_exit(all(report["verdicts"].values()))
 
 
 def cmd_cyclic_cone(args) -> int:
     out = _out_dir(args)
-    spec = cyclic_r3.generalized_cone(args.f0, args.f1, args.g0, args.g1, args.r0, args.r1,
-                                      (args.u_min, args.u_max))
-    max_h, max_k = cyclic_r3.max_curvature_magnitudes(spec)
-    cyclic_r3.export_residual_csv(spec, WeingartenParams(0, 1, 0), out / "cyclic_residual.csv")
-    report = {
-        "report": "cyclic_cone",
-        "f": [args.f0, args.f1], "g": [args.g0, args.g1], "r": [args.r0, args.r1],
-        "u_range": [args.u_min, args.u_max],
-        "max_abs_H": max_h,
-        "max_abs_K": max_k,
-        "verdicts": {"flat": max_k < 1e-9},
-    }
+    spec = _cyclic_surface_from_args(args, "cone")
+    cyclic_r3.export_residual_csv(spec, cyclic_r3.FLAT, out / "cyclic_residual.csv")
+    report = cyclic_r3.cone_json(spec, (args.f0, args.f1), (args.g0, args.g1), (args.r0, args.r1))
     _write_json(out / "cyclic_cone.json", report)
     return _verdict_exit(all(report["verdicts"].values()))
 
 
-def _cyclic_surface_from_args(args):
-    if args.surface == "sphere":
-        return cyclic_r3.sphere_slice(args.radius)
-    if args.surface == "cone":
-        return cyclic_r3.generalized_cone(args.f0, args.f1, args.g0, args.g1, args.r0, args.r1,
-                                          (args.u_min, args.u_max))
-    return cyclic_r3.riemann_example(args.lam, args.mu, args.r0, args.r0p, (args.u_min, args.u_max))
-
-
 def cmd_cyclic_coeffs(args) -> int:
     out = _out_dir(args)
-    spec = _cyclic_surface_from_args(args)
+    spec = _cyclic_surface_from_args(args, args.surface)
     params = WeingartenParams(args.a, args.b, args.c)
     tc = cyclic_r3.trig_coefficients(spec, params, args.u, n_samples=args.n_samples, n_max=args.n_max)
     report = cyclic_r3.coefficients_json(tc, tol=args.tol)
@@ -189,7 +148,7 @@ def cmd_mesh_export(args) -> int:
         verts, faces = meshes.sample_grid_mesh(patch, args.s_samples, args.phi_samples)
         meshes.write_obj(path, verts, faces)
     else:
-        spec = _cyclic_surface_from_args(args)
+        spec = _cyclic_surface_from_args(args, args.surface)
         patch = cyclic_r3.cyclic_patch(spec)
         verts, faces = meshes.sample_grid_mesh(patch, args.s_samples, args.phi_samples, wrap_v=True)
         meshes.write_obj(path, verts, faces)
@@ -259,6 +218,23 @@ def _add_parab_params(p):
     p.set_defaults(_required=("a", "b"))
 
 
+def _add_cyclic_common(p, u_min):
+    """--r0 and the u range; ``u_min`` is the subcommand's default for --u-min."""
+    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--u-min", type=float, default=u_min, dest="u_min")
+    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+
+
+def _add_cone_params(p):
+    for name in ("f0", "f1", "g0", "g1", "r1"):
+        p.add_argument(f"--{name}", type=float, default=0.0)
+
+
+def _add_riemann_params(p):
+    for name in ("lam", "mu", "r0p"):
+        p.add_argument(f"--{name}", type=float, default=0.0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="weingarten",
                      description="Integrate, classify, and verify linear Weingarten surfaces.")
@@ -291,35 +267,21 @@ def build_parser() -> _Parser:
     cyc = sub.add_parser("cyclic", help="circle-foliated surfaces")
     cyc_sub = cyc.add_subparsers(dest="command", required=True)
     p = cyc_sub.add_parser("riemann")
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r0p", type=float, default=0.0)
-    p.add_argument("--u-min", type=float, default=-1.0, dest="u_min")
-    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+    _add_riemann_params(p)
+    _add_cyclic_common(p, u_min=-1.0)
     _add_out(p)
     p.set_defaults(func=cmd_cyclic_riemann)
     p = cyc_sub.add_parser("cone")
-    for name in ("f0", "f1", "g0", "g1"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=0.0)
-    p.add_argument("--u-min", type=float, default=0.0, dest="u_min")
-    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+    _add_cone_params(p)
+    _add_cyclic_common(p, u_min=0.0)
     _add_out(p)
     p.set_defaults(func=cmd_cyclic_cone)
     p = cyc_sub.add_parser("coeffs")
     p.add_argument("--surface", choices=("sphere", "cone", "riemann"), default="sphere")
     p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
-    for name in ("f0", "f1", "g0", "g1"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--r0p", type=float, default=0.0)
-    p.add_argument("--u-min", type=float, default=-1.0, dest="u_min")
-    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+    _add_cone_params(p)
+    _add_riemann_params(p)
+    _add_cyclic_common(p, u_min=-1.0)
     p.add_argument("--u", type=float, default=0.3)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--b", type=float, default=0.0)
@@ -341,15 +303,9 @@ def build_parser() -> _Parser:
     p.add_argument("--periods", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--radius", type=float, default=1.0)
-    for name in ("f0", "f1", "g0", "g1"):
-        p.add_argument(f"--{name}", type=float, default=0.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--r0p", type=float, default=0.0)
-    p.add_argument("--u-min", type=float, default=0.0, dest="u_min")
-    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+    _add_cone_params(p)
+    _add_riemann_params(p)
+    _add_cyclic_common(p, u_min=0.0)
     p.add_argument("--t-min", type=float, default=-1.0, dest="t_min")
     p.add_argument("--t-max", type=float, default=1.0, dest="t_max")
     p.add_argument("--s-samples", type=int, default=100, dest="s_samples")
@@ -368,7 +324,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
+def _leaf_actions(parser, args) -> dict:
+    """Option actions, by dest, of the subcommand that parsed ``args``."""
+    while True:
+        sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+        parser = sub.choices[getattr(args, sub.dest)]
+
+
+def _config_value(action, key, value):
+    """Convert a config value as argparse converts the same flag's text."""
+    if action.nargs == 0 and isinstance(value, bool):  # store_true flag
+        return value
+    if action.nargs != 0 and isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        value = (action.type or str)(str(value))
+        if action.choices is None or value in action.choices:
+            return value
+    raise ValueError(f"config value {key}={value!r} is not valid for {action.option_strings[0]}")
+
+
+def _apply_config(parser, args, argv) -> None:
     """Fill options from a JSON config file; explicit flags keep priority."""
     if not getattr(args, "config", None):
         return
@@ -377,13 +353,12 @@ def _apply_config(args, argv) -> None:
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     supplied = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    actions = _leaf_actions(parser, args)
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or supplied.intersection(action.option_strings):
             continue
-        if f"--{key}" in supplied or f"--{key.replace('_', '-')}" in supplied:
-            continue
-        setattr(args, attr, value)
+        setattr(args, action.dest, _config_value(action, key, value))
 
 
 def main(argv=None) -> int:
@@ -391,7 +366,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         missing = [n for n in getattr(args, "_required", ()) if getattr(args, n) is None]
         if missing:
             sys.stderr.write(f"error: missing required option(s): {', '.join('--' + n for n in missing)}\n")

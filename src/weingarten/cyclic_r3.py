@@ -10,7 +10,6 @@ foliation circle: the relation holds on the circle iff every coefficient
 vanishes.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,9 +17,14 @@ from typing import Callable
 import numpy as np
 
 from . import geomcore
+from .csvio import write_csv
 from .errors import NonPositiveRadiusError, StepUnderflowError
 from .geomcore import SurfacePatch, WeingartenParams
 from .odekit import IvpSpec, integrate
+
+# The relations the two non-rotational families satisfy: H = 0 and K = 0.
+MINIMAL = WeingartenParams(1, 0, 0)
+FLAT = WeingartenParams(0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -322,13 +326,9 @@ class TrigCoefficients:
 
 def residual_samples(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float,
                      n_samples: int, flip_normal: bool = False):
-    patch = cyclic_patch(spec)
     vs = 2 * math.pi * np.arange(n_samples) / n_samples
-    res = np.empty(n_samples)
-    for j, v in enumerate(vs):
-        c = geomcore.curvatures(patch, float(u), float(v), flip_normal)
-        res[j] = params.residual(c.H, c.K)
-    return vs, res
+    field = geomcore.curvature_field(cyclic_patch(spec), [u], vs, flip_normal)
+    return vs, params.residual(field.H, field.K)
 
 
 def trig_coefficients(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float,
@@ -349,6 +349,36 @@ def trig_coefficients(spec: CyclicSurfaceSpec, params: WeingartenParams, u: floa
     return TrigCoefficients(u=float(u), A=A, B=B, n_samples=n_samples, params=params)
 
 
+def riemann_json(spec: RiemannSpec) -> dict:
+    """JSON-ready report of a minimal cyclic surface with its verdicts."""
+    max_h, max_k = max_curvature_magnitudes(spec)
+    ident = riemann_identity_residual(spec)
+    return {
+        "report": "cyclic_riemann",
+        "lam": spec.lam, "mu": spec.mu, "r0": spec.r0, "r0_prime": spec.r0_prime,
+        "u_range": list(spec.u_range),
+        "max_abs_H": max_h,
+        "max_abs_K": max_k,
+        "radius_identity_residual": ident,
+        "verdicts": {"minimal": max_h < 1e-6, "radius_identity": ident < 1e-8},
+    }
+
+
+def cone_json(spec: CyclicSurfaceSpec, f, g, r) -> dict:
+    """JSON-ready report of a generalized cone with its flatness verdict;
+    ``f``, ``g`` and ``r`` are the (constant, linear) coefficients it was
+    built from, echoed into the report."""
+    max_h, max_k = max_curvature_magnitudes(spec)
+    return {
+        "report": "cyclic_cone",
+        "f": list(f), "g": list(g), "r": list(r),
+        "u_range": list(spec.u_range),
+        "max_abs_H": max_h,
+        "max_abs_K": max_k,
+        "verdicts": {"flat": max_k < 1e-9},
+    }
+
+
 def coefficients_json(tc: TrigCoefficients, tol: float = 1e-8) -> dict:
     return {
         "report": "cyclic_coefficients",
@@ -366,14 +396,7 @@ def coefficients_json(tc: TrigCoefficients, tol: float = 1e-8) -> dict:
 def export_residual_csv(spec: CyclicSurfaceSpec, params: WeingartenParams, path,
                         n_u: int = 20, n_v: int = 32, flip_normal: bool = False) -> None:
     """Relation residual over the (u, v) grid: columns u,v,residual."""
-    patch = cyclic_patch(spec)
-    u0, u1 = spec.u_range
-    us = np.linspace(u0, u1, n_u)
+    us = np.linspace(*spec.u_range, n_u)
     vs = np.linspace(0.0, 2 * math.pi, n_v, endpoint=False)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v", "residual"])
-        for u in us:
-            for v in vs:
-                c = geomcore.curvatures(patch, float(u), float(v), flip_normal)
-                w.writerow([f"{u:.17g}", f"{v:.17g}", f"{params.residual(c.H, c.K):.17g}"])
+    field = geomcore.curvature_field(cyclic_patch(spec), us, vs, flip_normal)
+    write_csv(path, ["u", "v", "residual"], [field.u, field.v, params.residual(field.H, field.K)])

@@ -7,12 +7,12 @@ need the opposite geometric normal pass flip_normal=True. Principal
 curvatures are ordered k1 >= k2.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DegeneratePointError
 
 DEGENERACY_EPS = 1e-12
@@ -38,9 +38,6 @@ class SurfacePatch:
     duv: Vec3Fn
     dvv: Vec3Fn
     name: str = ""
-
-    def contains(self, u: float, v: float) -> bool:
-        return self.u_range[0] <= u <= self.u_range[1] and self.v_range[0] <= v <= self.v_range[1]
 
 
 class FundamentalForms(NamedTuple):
@@ -116,13 +113,21 @@ def fundamental_forms(patch: SurfacePatch, u: float, v: float, flip_normal: bool
     )
 
 
-def curvatures(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> Curvatures:
-    E, F, G, e, f, g = fundamental_forms(patch, u, v, flip_normal)
+def _curvatures_from_forms(forms: FundamentalForms, u: float, v: float) -> Curvatures:
+    E, F, G, e, f, g = forms
     W = E * G - F * F
-    H = (e * G - 2.0 * f * F + g * E) / (2.0 * W)
+    if W <= 0:
+        raise DegeneratePointError(f"EG - F^2 = {W} <= 0 at ({u}, {v})")
+    H = (e * G - 2 * f * F + g * E) / (2 * W)
     K = (e * g - f * f) / W
     root = np.sqrt(max(H * H - K, 0.0))
     return Curvatures(H=H, K=K, k1=H + root, k2=H - root)
+
+
+def curvatures(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> Curvatures:
+    """H, K and k1 >= k2 at one point; raises DegeneratePointError where the
+    parametrization or its first fundamental form is singular."""
+    return _curvatures_from_forms(fundamental_forms(patch, u, v, flip_normal), u, v)
 
 
 @dataclass
@@ -146,12 +151,7 @@ class CurvatureField:
     CSV_HEADER = ["u", "v", "E", "F", "G", "e", "f", "g", "H", "K", "k1", "k2"]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_HEADER)
-            cols = [getattr(self, name) for name in self.CSV_HEADER]
-            for row in zip(*cols):
-                w.writerow([f"{x:.17g}" for x in row])
+        write_csv(path, self.CSV_HEADER, [getattr(self, name) for name in self.CSV_HEADER])
 
 
 def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = False) -> CurvatureField:
@@ -160,15 +160,9 @@ def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = Fal
     for u in np.asarray(u_grid, dtype=float):
         for v in np.asarray(v_grid, dtype=float):
             forms = fundamental_forms(patch, u, v, flip_normal)
-            W = forms.E * forms.G - forms.F**2
-            if W <= 0:
-                raise DegeneratePointError(f"EG - F^2 = {W} <= 0 at ({u}, {v})")
-            H = (forms.e * forms.G - 2 * forms.f * forms.F + forms.g * forms.E) / (2 * W)
-            K = (forms.e * forms.g - forms.f**2) / W
-            root = np.sqrt(max(H * H - K, 0.0))
             us.append(u)
             vs.append(v)
-            rows.append((*forms, H, K, H + root, H - root))
+            rows.append((*forms, *_curvatures_from_forms(forms, u, v)))
     arr = np.array(rows)
     return CurvatureField(
         u=np.array(us), v=np.array(vs),

@@ -11,8 +11,10 @@ def sample_grid_mesh(patch: SurfacePatch, n_u: int, n_v: int, wrap_v: bool = Fal
     Returns (vertices, faces): vertices has exactly n_u * n_v rows; faces are
     quads of 0-based vertex indices. With wrap_v the last column of cells
     connects back to the first (closed surfaces of revolution) without
-    duplicating the seam vertices.
+    duplicating the seam vertices. Both counts must be at least 2.
     """
+    if n_u < 2 or n_v < 2:
+        raise ValueError(f"mesh needs at least 2 samples per direction (got {n_u} x {n_v})")
     u0, u1 = patch.u_range
     v0, v1 = patch.v_range
     us = np.linspace(u0, u1, n_u)

@@ -131,20 +131,43 @@ class Trajectory:
         return min(max(i, 0), len(self._seg_s0) - 1)
 
     def eval_segment(self, i: int, s: float) -> np.ndarray:
-        x = (s - self._seg_s0[i]) / self._seg_h[i]
-        p = np.array([x, x * x, x * x * x, x * x * x * x])
-        return self._seg_y0[i] + self._seg_h[i] * (self._seg_q[i] @ p)
+        return _quartic(s, self._seg_s0[i], self._seg_h[i], self._seg_y0[i], self._seg_q[i])
 
     def __call__(self, s):
         if np.ndim(s) == 0:
             return self.eval_segment(self._segment_index(float(s)), float(s))
         return np.array([self.eval_segment(self._segment_index(float(si)), float(si)) for si in np.asarray(s)])
 
-    def component(self, s, k: int):
-        """Dense evaluation of one state component."""
-        if np.ndim(s) == 0:
-            return float(self(s)[k])
-        return self(s)[:, k]
+    def time_at(self, k: int, target: float) -> float:
+        """First s where the monotone state component k equals ``target``.
+
+        Targets within 1e-9 beyond the range of the samples snap to the
+        nearest end of the trajectory; anything further raises ValueError.
+        """
+        values = self.states[:, k]
+        sign = 1.0 if values[-1] >= values[0] else -1.0
+        key, t = sign * values, sign * target
+        if t < key[0] - 1e-9 or t > key[-1] + 1e-9:
+            raise ValueError(f"value {target} of component {k} not reached on [{self.s[0]}, {self.s_end}]")
+        if t <= key[0]:
+            return float(self.s[0])
+        if t >= key[-1]:
+            return float(self.s[-1])
+        idx = int(np.searchsorted(key, t, side="left"))
+        if key[idx] == t:
+            return float(self.s[idx])
+        return find_root(lambda s: self(s)[k] - target, (float(self.s[idx - 1]), float(self.s[idx])), tol=1e-13)
+
+    def shift_defect(self, period: float, s, shift) -> float:
+        """Worst deviation of y(s + period) - y(s) from the constant ``shift``
+        over the offsets ``s``, taken over every state component."""
+        return float(np.max(np.abs(self(s + period) - self(s) - np.asarray(shift))))
+
+
+def _quartic(s, s0, h, y0, q) -> np.ndarray:
+    """Dense output of the step from s0 of signed length h at s."""
+    x = (s - s0) / h
+    return y0 + h * (q @ np.array([x, x * x, x * x * x, x * x * x * x]))
 
 
 def _rms_norm(v: np.ndarray) -> float:
@@ -277,8 +300,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
         # Event localization on the fresh dense segment.
         if spec.events:
             def seg_eval(ss, _q=q, _s=s, _h=h * direction, _y=y):
-                x = (ss - _s) / _h
-                return _y + _h * (_q @ np.array([x, x**2, x**3, x**4]))
+                return _quartic(ss, _s, _h, _y, _q)
 
             terminal_hits = []
             for j, ev in enumerate(spec.events):

@@ -18,7 +18,6 @@ cases, solves the circle and boundary-angle subproblems, and verifies the
 differentiated-relation identity along trajectories.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import odekit
+from .csvio import write_csv
 from .errors import (
     DegeneratePointError,
     NoRootError,
@@ -139,19 +139,38 @@ class ParabolicProfile:
         _, _, z, theta, tp, _, _ = self.sample(n)
         return float(np.max(np.abs(relation_residual(self.a, self.b, z, theta, tp))))
 
-    def theta_span(self) -> float:
-        return float(abs(self.trajectory.states[-1, 2] - self.trajectory.states[0, 2]))
-
     def time_at_angle(self, target: float) -> float:
-        th = self.trajectory.states[:, 2]
-        increasing = th[-1] >= th[0]
-        key = th if increasing else -th
-        t = target if increasing else -target
-        if t > key[-1] + 1e-9 or t < key[0] - 1e-9:
-            raise ValueError(f"angle {target} not reached")
-        idx = int(np.clip(np.searchsorted(key, t, side="left"), 1, len(key) - 1))
-        lo, hi = self.trajectory.s[idx - 1], self.trajectory.s[idx]
-        return find_root(lambda s: self.trajectory(s)[2] - target, (float(lo), float(hi)), tol=1e-13)
+        """First s with theta(s) = target (theta is monotone)."""
+        return self.trajectory.time_at(2, target)
+
+
+def _solve(a: float, b: float, z0: float, tol: float, s_end: float,
+           z_floor: float, den_floor: float, events=()) -> odekit.Trajectory:
+    """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
+    s_end, stopping at the breakdown events and then at ``events``. A step
+    underflow returns the partial trajectory (reason step_underflow)."""
+
+    def rhs(s, y):
+        _, z, th = y
+        ct = math.cos(th)
+        st = math.sin(th)
+        return np.array([ct, st, 2.0 * (1.0 - a * ct + b * st * st) / (z * (a + 2 * b * ct))])
+
+    events = (
+        Event(fn=lambda s, y: y[1] - z_floor, direction=-1, terminal=True, name="z_floor"),
+        Event(fn=lambda s, y: abs(a + 2 * b * math.cos(y[2])) - den_floor, direction=-1,
+              terminal=True, name="denominator"),
+        *events,
+    )
+
+    def guard(s, y):
+        return y[1] > 0.0 and abs(a + 2 * b * math.cos(y[2])) > HARD_DENOMINATOR_FLOOR
+
+    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+    try:
+        return integrate(spec, s_end, guard=guard)
+    except StepUnderflowError as exc:
+        return exc.trajectory
 
 
 def integrate_parabolic(
@@ -176,45 +195,11 @@ def integrate_parabolic(
         raise ValueError(f"z0 = {z0} must be positive (upper half-space)")
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
-    def rhs(s, y):
-        _, z, th = y
-        ct = math.cos(th)
-        st = math.sin(th)
-        return np.array([ct, st, 2.0 * (1.0 - a * ct + b * st * st) / (z * (a + 2 * b * ct))])
-
-    den0 = a + 2 * b
-
-    events = (
-        Event(fn=lambda s, y: y[1] - z_floor, direction=-1, terminal=True, name="z_floor"),
-        Event(
-            fn=lambda s, y: abs(a + 2 * b * math.cos(y[2])) - den_floor,
-            direction=-1,
-            terminal=True,
-            name="denominator",
-        ),
-        Event(
-            fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns,
-            direction=+1,
-            terminal=True,
-            name="angle_span",
-        ),
-    )
-
-    def guard(s, y):
-        return y[1] > 0.0 and abs(a + 2 * b * math.cos(y[2])) > HARD_DENOMINATOR_FLOOR
-
-    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
-    try:
-        traj = integrate(spec, horizon, guard=guard)
-        if traj.reason == odekit.REACHED_END:
-            cause = "horizon"
-        elif traj.reason == odekit.GUARD_STOP:
-            cause = "guard"
-        else:
-            cause = traj.events[-1].name
-    except StepUnderflowError as exc:
-        traj = exc.trajectory
-        cause = "step_underflow"
+    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1,
+                       terminal=True, name="angle_span")
+    traj = _solve(a, b, z0, tol, horizon, z_floor, den_floor, events=(angle_span,))
+    causes = {odekit.REACHED_END: "horizon", odekit.GUARD_STOP: "guard", odekit.UNDERFLOW: "step_underflow"}
+    cause = causes.get(traj.reason) or traj.events[-1].name
 
     profile = ParabolicProfile(
         a=a, b=b, z0=z0, tol=tol, trajectory=traj, cause=cause,
@@ -412,15 +397,8 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
         # translation invariance over the two integrated periods
         T = profile.time_at_angle(2 * math.pi)
         traj = profile.trajectory
-        x_T = traj(T)[0]
         ss = np.linspace(0.0, min(T, profile.s_max - T), 40)
-        base = traj(ss)
-        shifted = traj(ss + T)
-        defect = max(
-            float(np.max(np.abs(shifted[:, 1] - base[:, 1]))),
-            float(np.max(np.abs(shifted[:, 0] - base[:, 0] - x_T))),
-            float(np.max(np.abs(shifted[:, 2] - base[:, 2] - 2 * math.pi))),
-        )
+        defect = traj.shift_defect(T, ss, (traj(T)[0], 0.0, 2 * math.pi))
         notes["period"] = float(T)
         notes["translation_defect"] = defect
         return defect < 1e-6, notes
@@ -552,7 +530,7 @@ def derivative_identity_residual(profile: ParabolicProfile, fd_step: float = 1e-
         tp = tp_at(m)
         res = -tp * math.sin(th) * (b * z * tp + half) + half * z * tpp
         worst = max(worst, abs(res))
-    return worst
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -618,33 +596,8 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0), n_check: int = 4
 
 def mirror_defect(profile: ParabolicProfile, n: int = 200) -> float:
     """Integrate backward and compare against the mirrored forward branch."""
-    a, b = profile.a, profile.b
-
-    def rhs(s, y):
-        _, z, th = y
-        ct = math.cos(th)
-        st = math.sin(th)
-        return np.array([ct, st, 2.0 * (1.0 - a * ct + b * st * st) / (z * (a + 2 * b * ct))])
-
-    events = (
-        Event(fn=lambda s, y: y[1] - profile.z_floor, direction=-1, terminal=True, name="z_floor"),
-        Event(
-            fn=lambda s, y: abs(a + 2 * b * math.cos(y[2])) - profile.den_floor,
-            direction=-1,
-            terminal=True,
-            name="denominator",
-        ),
-    )
-    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, profile.z0, 0.0],
-                   rtol=profile.tol, atol=profile.tol * 1e-2, events=events)
-    try:
-        back = integrate(
-            spec,
-            -profile.s_max,
-            guard=lambda s, y: y[1] > 0 and abs(a + 2 * b * math.cos(y[2])) > HARD_DENOMINATOR_FLOOR,
-        )
-    except StepUnderflowError as exc:
-        back = exc.trajectory
+    back = _solve(profile.a, profile.b, profile.z0, profile.tol, -profile.s_max,
+                  profile.z_floor, profile.den_floor)
     s_hi = 0.999 * min(profile.s_max, abs(back.s_end))
     ss = np.linspace(0.0, s_hi, n)
     fwd = profile.trajectory(ss)
@@ -663,12 +616,34 @@ def mirror_defect(profile: ParabolicProfile, n: int = 200) -> float:
 def export_curve_csv(profile: ParabolicProfile, path, n: int = 2001) -> None:
     """Full symmetric curve: s,x,z,theta,theta_prime,kappa1,kappa2,relation_residual."""
     s, x, z, theta, tp, k1, k2 = profile.mirrored_sample(n)
-    res = relation_residual(profile.a, profile.b, z, theta, tp)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "x", "z", "theta", "theta_prime", "kappa1", "kappa2", "relation_residual"])
-        for row in zip(s, x, z, theta, tp, k1, k2, res):
-            w.writerow([f"{val:.17g}" for val in row])
+    write_csv(path, ["s", "x", "z", "theta", "theta_prime", "kappa1", "kappa2", "relation_residual"],
+              [s, x, z, theta, tp, k1, k2, relation_residual(profile.a, profile.b, z, theta, tp)])
+
+
+def profile_report(profile: ParabolicProfile) -> dict:
+    """JSON-ready verification report of an integrated profile. Every
+    verdict is false on an empty trajectory (s_max = 0)."""
+    relation = profile.max_relation_residual()
+    mirror = mirror_defect(profile)
+    identity = derivative_identity_residual(profile)
+    evaluated = profile.s_max > 0
+    return {
+        "report": "parab_h3_profile",
+        "params": {"a": profile.a, "b": profile.b, "c": 1.0},
+        "z0": profile.z0,
+        "tol": profile.tol,
+        "s_max": profile.s_max,
+        "s_bar": profile.s_bar if math.isfinite(profile.s_bar) else None,
+        "termination_cause": profile.cause,
+        "relation_residual": relation,
+        "mirror_defect": mirror,
+        "derivative_identity_residual": identity,
+        "verdicts": {
+            "relation_residual": evaluated and relation < 1e-9,
+            "mirror_symmetry": evaluated and mirror < 1e-7,
+            "derivative_identity": evaluated and identity < 1e-5,
+        },
+    }
 
 
 def classification_json(cls: ParabClassification) -> dict:

@@ -13,13 +13,13 @@ self-intersections, Gauss-curvature sign), and revolves the profile into a
 surface patch that is cross-checked against the relation with geomcore.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geomcore, meshes, odekit
+from .csvio import write_csv
 from .errors import BoundViolatedError, DegeneratePointError, GuardViolationError
 from .geomcore import SurfacePatch, WeingartenParams
 from .odekit import Event, IvpSpec, find_root, integrate
@@ -139,9 +139,6 @@ class HyperbolicProfile:
     def s_end(self) -> float:
         return self.trajectory.s_end
 
-    def state(self, s):
-        return self.trajectory(s)
-
     def sample(self, n: int):
         """Uniform dense sampling: (s, x, z, theta, theta_prime)."""
         s = np.linspace(0.0, self.s_end, n)
@@ -151,18 +148,21 @@ class HyperbolicProfile:
 
     def time_at_angle(self, target: float) -> float:
         """First s with theta(s) = target (theta is strictly decreasing)."""
-        th = self.trajectory.states[:, 2]
-        if target > th[0] + 1e-9 or target < th[-1] - 1e-9:
-            raise ValueError(f"angle {target} not reached on [0, {self.s_end}]")
-        if target >= th[0]:
-            return float(self.trajectory.s[0])
-        if target <= th[-1]:
-            return float(self.trajectory.s[-1])
-        idx = int(np.searchsorted(-th, -target, side="left"))
-        if th[idx] == target:
-            return float(self.trajectory.s[idx])
-        lo, hi = self.trajectory.s[idx - 1], self.trajectory.s[idx]
-        return find_root(lambda s: self.trajectory(s)[2] - target, (float(lo), float(hi)), tol=1e-13)
+        return self.trajectory.time_at(2, target)
+
+
+def _solve(p: WeingartenParams, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
+    """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
+    s_end, guarded by the positivity of the denominator a z + 2 b cos(theta)."""
+    a, b = p.a, p.b
+
+    def rhs(s, y):
+        _, z, th = y
+        ct = math.cos(th)
+        return np.array([ct, math.sin(th), (a * ct - 2 * z) / (a * z + 2 * b * ct)])
+
+    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+    return integrate(spec, s_end, guard=lambda s, y: a * y[1] + 2 * b * math.cos(y[2]) > 0.0)
 
 
 def integrate_profile(
@@ -183,26 +183,12 @@ def integrate_profile(
         raise ValueError(
             f"initial height z0={z0} must exceed -2b/a = {z_min0} for this family"
         )
-    a, b = p.a, p.b
     bounds = slope_bounds(p, z0)
-
-    def rhs(s, y):
-        _, z, th = y
-        ct = math.cos(th)
-        return np.array([ct, math.sin(th), (a * ct - 2 * z) / (a * z + 2 * b * ct)])
-
     theta_goal = -2.0 * math.pi * n_periods
-    spec = IvpSpec(
-        rhs=rhs,
-        s0=0.0,
-        y0=[0.0, z0, 0.0],
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=(Event(fn=lambda s, y: y[2] - theta_goal, direction=-1, terminal=True, name="full_turns"),),
-    )
+    full_turns = Event(fn=lambda s, y: y[2] - theta_goal, direction=-1, terminal=True, name="full_turns")
     # theta' <= M < 0, so each turn takes at most 2*pi/|M|.
     horizon = 2.0 * math.pi * n_periods / abs(bounds.M) * 1.05 + 1.0
-    traj = integrate(spec, horizon, guard=lambda s, y: a * y[1] + 2 * b * math.cos(y[2]) > 0.0)
+    traj = _solve(p, z0, tol, horizon, events=(full_turns,))
 
     if traj.reason == odekit.GUARD_STOP:
         raise GuardViolationError(
@@ -241,14 +227,19 @@ class ConservationReport:
     max_closed_form_deviation: float
 
 
-def first_integral_residual(profile: HyperbolicProfile, n: int = 2000) -> ConservationReport:
-    """Residual of z^2 - a z cos(theta) - b cos^2(theta) - f(z0) along the
-    trajectory, plus the worst deviation from the closed-form height."""
+def _first_integral_defect(profile: HyperbolicProfile, z, theta):
+    """z^2 - a z cos(theta) - b cos^2(theta) - f(z0); zero on exact solutions."""
     p = profile.params
-    _, _, z, theta, _ = profile.sample(n)
     ct = np.cos(theta)
-    res = z * z - p.a * z * ct - p.b * ct * ct - profile.bounds.f_z0
-    dev = z - closed_form_height(p, profile.z0, theta)
+    return z * z - p.a * z * ct - p.b * ct * ct - profile.bounds.f_z0
+
+
+def first_integral_residual(profile: HyperbolicProfile, n: int = 2000) -> ConservationReport:
+    """Residual of the first integral along the trajectory, plus the worst
+    deviation from the closed-form height."""
+    _, _, z, theta, _ = profile.sample(n)
+    res = _first_integral_defect(profile, z, theta)
+    dev = z - closed_form_height(profile.params, profile.z0, theta)
     return ConservationReport(float(np.max(np.abs(res))), float(np.max(np.abs(dev))))
 
 
@@ -317,23 +308,14 @@ def periodicity_check(profile: HyperbolicProfile, n_offsets: int = 50) -> Period
         raise ValueError("periodicity check needs at least 2 integrated periods")
     T = profile.period
     traj = profile.trajectory
-    z_T = traj(T)[1]
-    th_T = traj(T)[2]
-    x_T = traj(T)[0]
+    x_T, z_T, th_T = traj(T)
     s = np.linspace(0.0, profile.s_end - T, n_offsets)
-    base = traj(s)
-    shifted = traj(s + T)
-    defect = max(
-        float(np.max(np.abs(shifted[:, 1] - base[:, 1]))),
-        float(np.max(np.abs(shifted[:, 2] - base[:, 2] + 2 * math.pi))),
-        float(np.max(np.abs(shifted[:, 0] - base[:, 0] - x_T))),
-    )
     return PeriodicityReport(
         T=T,
         x_T=float(x_T),
         z_return_deviation=float(abs(z_T - profile.z0)),
         theta_return_deviation=float(abs(th_T + 2 * math.pi)),
-        translation_defect=defect,
+        translation_defect=traj.shift_defect(T, s, (x_T, 0.0, -2 * math.pi)),
     )
 
 
@@ -475,7 +457,6 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
     Gauss curvature on the arcs separated by vertical points (via geomcore on
     the revolved surface), and measure the mirror-symmetry defect about x=0
     by backward integration."""
-    p = profile.params
     T = profile.period
     T1, T2, T3 = profile.quarter_times
     traj = profile.trajectory
@@ -527,32 +508,20 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
 
     # Gauss-curvature sign on the arcs bounded by vertical points, sampled
     # through geomcore on the revolved surface.
-    surface = revolve(profile, phi_samples=8, s_samples=2 * samples_per_period // 100, check=False)
+    patch = profile_patch(profile)
     arcs = [(0.0, T1, 1), (T1, T3, -1), (T3, T, 1)]
     gauss_arcs = []
     gauss_ok = True
     for s_lo, s_hi, expected in arcs:
         span = s_hi - s_lo
         ss = np.linspace(s_lo + 0.15 * span, s_hi - 0.15 * span, 7)
-        ks = [geomcore.curvatures(surface.patch, float(s), 0.5).K for s in ss]
+        ks = [geomcore.curvatures(patch, float(s), 0.5).K for s in ss]
         sign = 1 if all(k > 0 for k in ks) else (-1 if all(k < 0 for k in ks) else 0)
         gauss_arcs.append((float(s_lo), float(s_hi), sign, expected))
         gauss_ok = gauss_ok and sign == expected
 
     # Mirror symmetry about x = 0: integrate backward and compare.
-    back = integrate(
-        IvpSpec(
-            rhs=lambda s, y: np.array([
-                math.cos(y[2]), math.sin(y[2]), slope(p, y[1], y[2]),
-            ]),
-            s0=0.0,
-            y0=[0.0, profile.z0, 0.0],
-            rtol=profile.tol,
-            atol=profile.tol * 1e-2,
-        ),
-        -T / 2,
-        guard=lambda s, y: p.a * y[1] + 2 * p.b * math.cos(y[2]) > 0.0,
-    )
+    back = _solve(profile.params, profile.z0, profile.tol, -T / 2)
     s_sym = np.linspace(0.0, T / 2, 200)
     fwd = traj(s_sym)
     bwd = back(-s_sym)
@@ -591,7 +560,15 @@ def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
     """X(s, phi) = (x(s), z(s) cos phi, z(s) sin phi) with partials assembled
     from the trajectory interpolant; second s-derivatives use theta' from the
     governing system. Parameter order (s, phi) realizes the normal for which
-    a*H + b*K = 1 holds with no sign flip."""
+    a*H + b*K = 1 holds with no sign flip.
+
+    Requires z > 0 along the profile (DegeneratePointError otherwise).
+    """
+    _, _, z, _, _ = profile.sample(8 * DEFAULT_SAMPLES_PER_PERIOD // 10)
+    if np.min(z) <= 0:
+        raise DegeneratePointError(
+            f"profile height reaches z = {np.min(z):.6g} <= 0; surface of revolution is singular"
+        )
     p = profile.params
     traj = profile.trajectory
 
@@ -641,11 +618,6 @@ def revolve(
     check=True the relation residual a*H + b*K - 1 is verified below
     ``residual_tol`` on a coarse grid through geomcore.
     """
-    _, _, z, _, _ = profile.sample(8 * DEFAULT_SAMPLES_PER_PERIOD // 10)
-    if np.min(z) <= 0:
-        raise DegeneratePointError(
-            f"profile height reaches z = {np.min(z):.6g} <= 0; surface of revolution is singular"
-        )
     patch = profile_patch(profile)
     verts, faces = meshes.sample_grid_mesh(patch, s_samples, phi_samples, wrap_v=True)
     residual = np.nan
@@ -665,16 +637,11 @@ def revolve(
 # ---------------------------------------------------------------------------
 
 def export_curve_csv(profile: HyperbolicProfile, path, samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> None:
-    p = profile.params
-    n = samples_per_period * profile.n_periods + 1
-    s, x, z, theta, tp = profile.sample(n)
-    ct = np.cos(theta)
-    res = z * z - p.a * z * ct - p.b * ct * ct - profile.bounds.f_z0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "x", "z", "theta", "theta_prime", "first_integral_residual"])
-        for row in zip(s, x, z, theta, tp, res):
-            w.writerow([f"{val:.17g}" for val in row])
+    if samples_per_period < 1:
+        raise ValueError(f"samples_per_period = {samples_per_period} must be at least 1")
+    s, x, z, theta, tp = profile.sample(samples_per_period * profile.n_periods + 1)
+    write_csv(path, ["s", "x", "z", "theta", "theta_prime", "first_integral_residual"],
+              [s, x, z, theta, tp, _first_integral_defect(profile, z, theta)])
 
 
 def report(profile: HyperbolicProfile, structure: StructureReport = None) -> dict:
@@ -684,10 +651,9 @@ def report(profile: HyperbolicProfile, structure: StructureReport = None) -> dic
     per = periodicity_check(profile) if profile.n_periods >= 2 else None
     if structure is None:
         structure = structure_report(profile)
-    surface_residual = revolve(profile, phi_samples=16, s_samples=50, check=False)
     u = np.linspace(0.0, profile.s_end, 25 * profile.n_periods)
     v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    res, _ = geomcore.weingarten_residual(surface_residual.patch, profile.params, u, v)
+    res, _ = geomcore.weingarten_residual(profile_patch(profile), profile.params, u, v)
     verdicts = {
         "first_integral": cons.max_residual < 1e-8,
         "closed_form_height": cons.max_closed_form_deviation < 1e-8,

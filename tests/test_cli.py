@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,7 +8,8 @@ import pytest
 
 from weingarten import cli
 
-SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "report.schema.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
 
 
 def run(argv):
@@ -159,3 +162,73 @@ def test_config_file_alone_supplies_required(tmp_path):
     assert run(["parab-h3", "classify", "--config", str(config), "--out", str(out)]) == 0
     rep = json.loads((out / "parab_classification.json").read_text())
     assert rep["label"] == "PeriodicComplete"
+
+
+def test_parab_integrate_empty_trajectory_fails_verdicts(tmp_path):
+    # z0 below the z floor underflows at s_max = 0: nothing was verified
+    assert run(["parab-h3", "integrate", "--a", "0.5", "--b", "-1", "--z0", "1e-12",
+                "--out", str(tmp_path)]) == 2
+    rep = json.loads((tmp_path / "parab_profile.json").read_text())
+    assert rep["s_max"] == 0.0
+    assert not any(rep["verdicts"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "export", "--surface", "cone", "--phi-samples", "0"],
+    ["mesh", "export", "--surface", "sphere", "--phi-samples", "1"],
+    ["mesh", "export", "--surface", "sphere", "--s-samples", "1"],
+    ["mesh", "export", "--surface", "rot", "--s-samples", "-3"],
+    ["rot-r3", "integrate", "--a", "2", "--b", "-2", "--z0", "3", "--periods", "2",
+     "--samples-per-period", "0"],
+    ["figures", "reproduce", "--samples-per-period", "-1"],
+])
+def test_small_counts_are_usage_errors(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert not any(p.suffix in (".obj", ".csv") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config", [
+    {"a": "nope", "b": -0.2},
+    {"a": [0.5], "b": -0.2},
+    {"a": None, "b": -0.2},
+    {"a": True, "b": -0.2},
+    {"a": 0.5, "b": {"value": -0.2}},
+])
+def test_config_values_of_wrong_type_are_usage_errors(config, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run(["parab-h3", "classify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_config_values_convert_like_flags(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"a": "0.5", "b": -0.2, "z0": 1}))
+    out = tmp_path / "out"
+    assert run(["parab-h3", "classify", "--config", str(path), "--out", str(out)]) == 0
+    rep = json.loads((out / "parab_classification.json").read_text())
+    assert rep["params"]["a"] == 0.5 and rep["label"] == "PeriodicComplete"
+    assert isinstance(rep["z0"], float)
+
+    path.write_text(json.dumps({"surface": "torus"}))
+    assert run(["cyclic", "coeffs", "--config", str(path), "--out", str(out)]) == 1
+    path.write_text(json.dumps({"periods": 2.5}))
+    assert run(["rot-r3", "report", "--config", str(path), "--a", "2", "--b", "-2",
+                "--z0", "3", "--out", str(out)]) == 1
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_artifact_digest_covers_every_subcommand_and_surface():
+    spec = importlib.util.spec_from_file_location("artifact_digest", ROOT / "tools" / "artifact_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    covered = {tuple(argv[:2]) for argv in tool.RUNS}
+    groups = _subparsers(cli.build_parser())
+    assert covered == {(g, c) for g, gp in groups.items() for c in _subparsers(gp)}
+    for group, command in (("mesh", "export"), ("cyclic", "coeffs")):
+        choices = next(a.choices for a in _subparsers(groups[group])[command]._actions
+                       if a.dest == "surface")
+        used = {argv[argv.index("--surface") + 1] for argv in tool.RUNS if argv[:2] == [group, command]}
+        assert used == set(choices)

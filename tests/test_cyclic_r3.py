@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,3 +211,19 @@ def test_coefficients_json_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "u,v,residual"
     assert len(lines) == 1 + 4 * 8
+
+
+def test_reports_decide_verdicts_and_they_can_fail():
+    cone = generalized_cone(0, 0.3, 0, 0.4, 1, 0.5)
+    coeffs = ((0, 0.3), (0, 0.4), (1, 0.5))
+    rep = cyclic.cone_json(cone, *coeffs)
+    assert rep["f"] == [0, 0.3] and rep["r"] == [1, 0.5] and rep["verdicts"] == {"flat": True}
+    bent = dataclasses.replace(cone, radius=CurveFunc.poly([1.0, 0.5, 0.1]))
+    assert cyclic.cone_json(bent, *coeffs)["verdicts"] == {"flat": False}
+
+    minimal = riemann_example(1.0, 0.5, 1.0, 0.1, (-0.5, 0.5))
+    rep = cyclic.riemann_json(minimal)
+    assert rep["lam"] == 1.0 and rep["verdicts"] == {"minimal": True, "radius_identity": True}
+    # a radius off the minimal-surface system breaks both relations
+    off = dataclasses.replace(minimal, radius=CurveFunc.poly([1.0, 0.1, 0.3]))
+    assert cyclic.riemann_json(off)["verdicts"] == {"minimal": False, "radius_identity": False}

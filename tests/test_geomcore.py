@@ -242,6 +242,25 @@ def test_degenerate_point_raises():
         fundamental_forms(degenerate, 0.0, 0.0)
 
 
+def test_rounded_singular_metric_raises_degenerate_point():
+    # |X_u x X_v| = 1 passes the normal check, but EG - F^2 rounds to 0:
+    # both curvature routes must refuse the point instead of dividing by it.
+    sheared = SurfacePatch(
+        u_range=(-1, 1),
+        v_range=(-1, 1),
+        position=lambda u, v: np.array([1e8 * (u + v), 1e-8 * v, 0.0]),
+        du=lambda u, v: np.array([1e8, 0.0, 0.0]),
+        dv=lambda u, v: np.array([1e8, 1e-8, 0.0]),
+        duu=lambda u, v: np.zeros(3),
+        duv=lambda u, v: np.zeros(3),
+        dvv=lambda u, v: np.zeros(3),
+    )
+    with pytest.raises(DegeneratePointError):
+        curvatures(sheared, 0.0, 0.0)
+    with pytest.raises(DegeneratePointError):
+        curvature_field(sheared, [0.0], [0.0])
+
+
 def test_params_discriminant_family():
     assert WeingartenParams(1, 1, 1).family == "elliptic"
     assert WeingartenParams(2, -1, 1).family == "tube"  # 4 - 4 = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -342,3 +343,37 @@ def test_random_pairs_classify_and_corroborate():
         prof = integrate_parabolic(a, b, Z0)
         assert prof.max_relation_residual() < 1e-9
         assert mirror_defect(prof) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Profile report verdicts
+# ---------------------------------------------------------------------------
+
+def scaled_height(profile, factor):
+    """The profile with z scaled by ``factor`` along the whole dense output."""
+    traj = profile.trajectory
+    states, seg_y0, seg_q = traj.states.copy(), traj._seg_y0.copy(), traj._seg_q.copy()
+    states[:, 1] *= factor
+    seg_y0[:, 1] *= factor
+    seg_q[:, 1, :] *= factor
+    scaled = dataclasses.replace(traj, states=states, _seg_y0=seg_y0, _seg_q=seg_q)
+    return dataclasses.replace(profile, trajectory=scaled)
+
+
+def test_profile_report_verdicts_flip_on_scaled_height(parab_figure_profiles):
+    prof = parab_figure_profiles[(0.5, -0.2)]
+    assert parab_h3.profile_report(prof)["verdicts"] == {
+        "relation_residual": True, "mirror_symmetry": True, "derivative_identity": True,
+    }
+    verdicts = parab_h3.profile_report(scaled_height(prof, 1.05))["verdicts"]
+    assert verdicts["mirror_symmetry"] is False
+    assert verdicts["derivative_identity"] is False
+
+
+def test_profile_report_fails_on_empty_trajectory():
+    # z0 far below the z floor: the first step underflows at s = 0, so no
+    # residual has any interval to be measured on.
+    prof = integrate_parabolic(0.5, -1.0, 1e-12)
+    assert prof.s_max == 0.0 and prof.cause == "step_underflow"
+    verdicts = parab_h3.profile_report(prof)["verdicts"]
+    assert verdicts == {"relation_residual": False, "mirror_symmetry": False, "derivative_identity": False}

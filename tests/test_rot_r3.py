@@ -205,6 +205,17 @@ def test_revolve_rejects_nonpositive_height():
         rot_r3.revolve(prof)
 
 
+def test_report_rejects_nonpositive_height():
+    # Admissible triple (a^2 + 4b = -2, z0 > -2b/a = 1.5) whose height dips
+    # to about -0.30: the revolved patch the report checks is singular.
+    prof = rot_r3.integrate_profile(WeingartenParams(2, -1.5, 1), 1.7, n_periods=2)
+    assert np.min(prof.trajectory.states[:, 1]) < -0.29
+    with pytest.raises(DegeneratePointError):
+        rot_r3.profile_patch(prof)
+    with pytest.raises(DegeneratePointError):
+        rot_r3.report(prof)
+
+
 def test_revolve_cylinder_limit():
     # Degenerate sanity: a constant-height profile revolved is a cylinder,
     # K = 0 everywhere on the mesh.
@@ -226,6 +237,12 @@ def test_revolve_cylinder_limit():
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------
+
+def test_curve_csv_rejects_empty_sampling(fig3_profile, tmp_path):
+    with pytest.raises(ValueError):
+        rot_r3.export_curve_csv(fig3_profile, tmp_path / "curve.csv", samples_per_period=0)
+    assert not (tmp_path / "curve.csv").exists()
+
 
 def test_curve_csv_columns(fig3_profile, tmp_path):
     out = tmp_path / "curve.csv"
