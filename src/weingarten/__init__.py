@@ -15,6 +15,7 @@ from .errors import (
     NoSignChangeError,
     NotCircleCaseError,
     OutOfScopeParamsError,
+    RootNotConvergedError,
     StepUnderflowError,
     WeingartenError,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "NoSignChangeError",
     "NotCircleCaseError",
     "OutOfScopeParamsError",
+    "RootNotConvergedError",
     "StepUnderflowError",
     "SurfacePatch",
     "Trajectory",

@@ -28,6 +28,19 @@ class NoSignChangeError(WeingartenError):
     """Root bracketing failed: f(lo) and f(hi) have the same sign."""
 
 
+class RootNotConvergedError(WeingartenError):
+    """Bracketing root refinement ran out of iterations before the bracket
+    shrank to the tolerance.
+
+    Carries the last bracket (lo, hi), across which f still changes sign, in
+    ``bracket``.
+    """
+
+    def __init__(self, message, bracket=None):
+        super().__init__(message)
+        self.bracket = bracket
+
+
 class BoundViolatedError(WeingartenError):
     """A proved analytic bound failed at a sample (implementation bug signal)."""
 

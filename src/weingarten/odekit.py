@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, StepUnderflowError
+from .errors import NoSignChangeError, RootNotConvergedError, StepUnderflowError
 
 # Dormand-Prince 5(4) tableau. The fifth-order solution is propagated; the
 # last stage is FSAL.
@@ -60,6 +60,11 @@ class Event:
 
     direction: +1 counts only -/+ crossings, -1 only +/-, 0 both.
     terminal: stop the integration at the crossing.
+
+    g is compared only at the ends of each accepted step, so an even number
+    of sign changes inside one step (g dipping across zero and back) goes
+    undetected. Bound the step with ``IvpSpec.max_step`` below the scale on
+    which g can turn if such crossings matter.
     """
 
     fn: Callable[[float, np.ndarray], float]
@@ -124,19 +129,35 @@ class Trajectory:
     def s_end(self) -> float:
         return float(self.s[-1])
 
-    def _segment_index(self, s: float) -> int:
+    def _segment_index(self, s):
+        """Index of the segment holding ``s`` (a scalar or an array), clamped
+        to the first and last segment. Searching the knots after the first
+        gives the clamped index directly: points before the first knot get 0,
+        points beyond the last get n_seg - 1."""
         d = self.direction
-        knots = self._seg_s0 * d
-        i = int(np.searchsorted(knots, s * d, side="right")) - 1
-        return min(max(i, 0), len(self._seg_s0) - 1)
+        return np.searchsorted(self._seg_s0[1:] * d, s * d, side="right")
 
     def eval_segment(self, i: int, s: float) -> np.ndarray:
         return _quartic(s, self._seg_s0[i], self._seg_h[i], self._seg_y0[i], self._seg_q[i])
 
     def __call__(self, s):
+        """Dense output at ``s``: a scalar gives shape ``(dim,)``, an array of
+        shape ``(n,)`` gives ``(n, dim)``.
+
+        Points beyond the integrated range are extrapolated with the first or
+        last segment's quartic. The array path finds every segment with one
+        ``searchsorted`` and evaluates the quartics in one batched product; it
+        is bit-identical to a stack of scalar calls.
+        """
         if np.ndim(s) == 0:
-            return self.eval_segment(self._segment_index(float(s)), float(s))
-        return np.array([self.eval_segment(self._segment_index(float(si)), float(si)) for si in np.asarray(s)])
+            return self.eval_segment(int(self._segment_index(float(s))), float(s))
+        s = np.asarray(s, dtype=float)
+        idx = self._segment_index(s)
+        h = self._seg_h[idx]
+        x = (s - self._seg_s0[idx]) / h
+        x2 = x * x
+        powers = np.stack([x, x2, x2 * x, x2 * x * x], axis=-1)
+        return self._seg_y0[idx] + h[:, None] * np.matmul(self._seg_q[idx], powers[..., None])[..., 0]
 
     def time_at(self, k: int, target: float) -> float:
         """First s where the monotone state component k equals ``target``.
@@ -353,6 +374,8 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12, max_iter
 
     Requires f to change sign over ``bracket``; returns the root within
     ``tol`` (plus a machine-precision term proportional to the root).
+    Raises RootNotConvergedError, carrying the last bracket, if ``max_iter``
+    iterations do not get there.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = f(a), f(b)
@@ -401,4 +424,9 @@ def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12, max_iter
         a, fa = b, fb
         b += d if abs(d) > tol_here else (tol_here if m > 0 else -tol_here)
         fb = f(b)
-    return b
+    if fb == 0.0:
+        return b
+    if (fb > 0) == (fc > 0):
+        c = a
+    bracket = (min(b, c), max(b, c))
+    raise RootNotConvergedError(f"no convergence in {max_iter} iterations; root in {bracket}", bracket=bracket)

@@ -53,6 +53,7 @@ ALL_CASES = (
 )
 
 HARD_DENOMINATOR_FLOOR = 1e-9
+Z_FLOOR = 1e-8  # default height at which the z -> 0 breakdown event fires
 CIRCLE_TOL = 1e-12
 
 
@@ -173,26 +174,38 @@ def _solve(a: float, b: float, z0: float, tol: float, s_end: float,
         return exc.trajectory
 
 
+def _check_z0(z0: float, z_floor: float) -> None:
+    """Refuse a start at or below the z -> 0 breakdown height: it is already
+    past the breakdown that the z_floor event reports.
+
+    This does not cover every start that stops at s = 0. Just above the floor
+    (z0 = 2e-8 at the defaults) theta' ~ 1/z0 is so large against atol that
+    the starting-step heuristic of odekit.integrate proposes a first step
+    below the minimum step, and the run ends in step_underflow at s = 0."""
+    if not z0 > z_floor:
+        raise ValueError(f"z0 = {z0} must exceed the z floor {z_floor} (upper half-space)")
+
+
 def integrate_parabolic(
     a: float,
     b: float,
     z0: float,
     tol: float = 1e-11,
     horizon: float = 1000.0,
-    z_floor: float = 1e-8,
+    z_floor: float = Z_FLOOR,
     den_floor: float = 1e-6,
     max_turns: float = 2.0,
 ) -> ParabolicProfile:
     """Integrate the profile forward until the horizon, a full-turn budget,
     or one of the breakdown events (z -> 0, vanishing angular denominator).
+    Requires z0 > z_floor (ValueError otherwise).
 
     The breakdown events encode the finite maximal-interval cases of the
     classification; they terminate the run cleanly and are recorded in
     ``cause``. A hard guard keeps the right-hand side evaluations away from
     z <= 0 and |a + 2b cos(theta)| <= 1e-9.
     """
-    if z0 <= 0:
-        raise ValueError(f"z0 = {z0} must be positive (upper half-space)")
+    _check_z0(z0, z_floor)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
     angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1,
@@ -423,9 +436,9 @@ def classify(a: float, b: float, z0: float, corroborate: bool = True, **integrat
     Degenerate-line and circle tests apply for any a; the four-way tree
     requires 0 < a < 1 and b != 0. Boundary equalities and parameters
     outside that range raise OutOfScopeParamsError rather than guessing.
+    z0 must exceed the z floor of the integration (ValueError otherwise).
     """
-    if z0 <= 0:
-        raise ValueError(f"z0 = {z0} must be positive")
+    _check_z0(z0, integrate_kw.get("z_floor", Z_FLOOR))
     tp0 = initial_slope(a, b, z0)  # raises on a + 2b = 0
     inv = circle_invariant(a, b)
 

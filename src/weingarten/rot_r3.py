@@ -323,44 +323,55 @@ def periodicity_check(profile: HyperbolicProfile, n_offsets: int = 50) -> Period
 # Structure analysis
 # ---------------------------------------------------------------------------
 
-def _segment_intersection(p0, p1, q0, q1):
-    """Parameters (t, w) of the crossing of segments p0p1 and q0q1, or None."""
+def _crossings(p0, p1, q0, q1):
+    """Batched crossing test of the segment pairs p0p1 and q0q1 (each array
+    of shape (m, 2)).
+
+    Returns the indices k of the pairs that cross, in increasing order, and
+    their local parameters t (along p0p1) and w (along q0q1). Nearly
+    parallel pairs (|det| < 1e-30) never cross.
+    """
     d1 = p1 - p0
     d2 = q1 - q0
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(det) < 1e-30:
-        return None
-    r = q0 - p0
-    t = (r[0] * d2[1] - r[1] * d2[0]) / det
-    w = (r[0] * d1[1] - r[1] * d1[0]) / det
-    if 0.0 <= t <= 1.0 and 0.0 <= w <= 1.0:
-        return t, w
-    return None
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    k = np.nonzero(~(np.abs(det) < 1e-30))[0]
+    d1, d2, r, det = d1[k], d2[k], (q0 - p0)[k], det[k]
+    t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+    w = (r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]) / det
+    hit = (0.0 <= t) & (t <= 1.0) & (0.0 <= w) & (w <= 1.0)
+    return k[hit], t[hit], w[hit]
 
 
 def polyline_self_intersections(points: np.ndarray):
     """All crossings of non-adjacent segments of an open polyline.
 
-    Returns a list of (i, t, j, w): segment indices and local parameters.
-    Bounding-box prefilter keeps the quadratic sweep cheap.
+    Returns a list of (i, t, j, w) with i + 2 <= j: segment indices and the
+    local parameters of the crossing along each, ordered by i, then j.
+
+    Sort-and-sweep on the x extents: with the segments sorted by their left
+    end, the candidates of each segment are the contiguous run of later
+    segments that start before it ends. The candidate pairs are filtered on
+    their y extents and tested for a crossing in one batch.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts) - 1
+    if len(pts) < 4:
+        return []
     starts, ends = pts[:-1], pts[1:]
     lo = np.minimum(starts, ends)
     hi = np.maximum(starts, ends)
-    out = []
-    for i in range(n - 2):
-        j0 = i + 2
-        mask = (
-            (lo[j0:, 0] <= hi[i, 0]) & (hi[j0:, 0] >= lo[i, 0])
-            & (lo[j0:, 1] <= hi[i, 1]) & (hi[j0:, 1] >= lo[i, 1])
-        )
-        for j in np.nonzero(mask)[0] + j0:
-            hit = _segment_intersection(starts[i], ends[i], starts[j], ends[j])
-            if hit is not None:
-                out.append((i, hit[0], int(j), hit[1]))
-    return out
+    order = np.argsort(lo[:, 0], kind="stable")
+    first = np.arange(1, len(order) + 1)
+    counts = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - first
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    a = order[np.repeat(first - 1, counts)]
+    b = order[np.repeat(first, counts) + offsets]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    keep = (j >= i + 2) & (lo[j, 1] <= hi[i, 1]) & (hi[j, 1] >= lo[i, 1])
+    i, j = i[keep], j[keep]
+    rank = np.lexsort((j, i))
+    i, j = i[rank], j[rank]
+    k, t, w = _crossings(starts[i], ends[i], starts[j], ends[j])
+    return list(zip(i[k].tolist(), t.tolist(), j[k].tolist(), w.tolist()))
 
 
 def self_intersections(profile: HyperbolicProfile, samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD):
@@ -390,21 +401,14 @@ def self_intersections(profile: HyperbolicProfile, samples_per_period: int = DEF
         fine = 32
         ga = np.linspace(max(sa - ds, 0.0), min(sa + ds, profile.s_end), fine)
         gb = np.linspace(max(sb - ds, 0.0), min(sb + ds, profile.s_end), fine)
-        pa = traj(ga)[:, :2][:, [0, 1]]
+        pa = traj(ga)[:, :2]
         pb = traj(gb)[:, :2]
-        best = None
-        for ii in range(fine - 1):
-            for jj in range(fine - 1):
-                hit = _segment_intersection(pa[ii], pa[ii + 1], pb[jj], pb[jj + 1])
-                if hit is not None:
-                    best = (
-                        ga[ii] + hit[0] * (ga[ii + 1] - ga[ii]),
-                        gb[jj] + hit[1] * (gb[jj + 1] - gb[jj]),
-                    )
-                    break
-            if best:
-                break
-        sa, sb = best if best else (sa, sb)
+        ii, jj = np.divmod(np.arange((fine - 1) ** 2), fine - 1)
+        k, tt, ww = _crossings(pa[ii], pa[ii + 1], pb[jj], pb[jj + 1])
+        if len(k):  # the first crossing in (ii, jj) row-major order
+            ia, ib = ii[k[0]], jj[k[0]]
+            sa = ga[ia] + tt[0] * (ga[ia + 1] - ga[ia])
+            sb = gb[ib] + ww[0] * (gb[ib + 1] - gb[ib])
         point = traj(sa)[:2]
         results.append((float(sa), float(sb), (float(point[0]), float(point[1]))))
     return results
@@ -474,12 +478,13 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
     monotonicity_ok = all(v["x"] and v["z"] for v in monotonicity)
 
     s_period = np.linspace(0.0, T, 4 * samples_per_period)
-    z_period = traj(s_period)[:, 1]
+    states_period = traj(s_period)
+    z_period = states_period[:, 1]
     z_max_at_start = bool(profile.z0 >= np.max(z_period) - 1e-9)
     z_min_at_half = bool(traj(T2)[1] <= np.min(z_period) + 1e-9)
 
     # Vertical tangents are the roots of cos(theta) inside the period.
-    theta_period = traj(s_period)[:, 2]
+    theta_period = states_period[:, 2]
     ct = np.cos(theta_period)
     crossings = np.nonzero(np.diff(np.signbit(ct)))[0]
     vertical_points = []

@@ -165,12 +165,11 @@ def test_config_file_alone_supplies_required(tmp_path):
 
 
 def test_parab_integrate_empty_trajectory_fails_verdicts(tmp_path):
-    # z0 below the z floor underflows at s_max = 0: nothing was verified
+    # z0 below the z floor would underflow at s = 0 with nothing to verify:
+    # it is refused as a usage error before any report is written
     assert run(["parab-h3", "integrate", "--a", "0.5", "--b", "-1", "--z0", "1e-12",
-                "--out", str(tmp_path)]) == 2
-    rep = json.loads((tmp_path / "parab_profile.json").read_text())
-    assert rep["s_max"] == 0.0
-    assert not any(rep["verdicts"].values())
+                "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "parab_profile.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weingarten import odekit
-from weingarten.errors import NoSignChangeError, StepUnderflowError
+from weingarten.errors import NoSignChangeError, RootNotConvergedError, StepUnderflowError
 from weingarten.odekit import Event, IvpSpec, find_root, integrate
 
 
@@ -121,6 +121,50 @@ def test_determinism_bit_identical():
     assert np.array_equal(t1(probe), t2(probe))
 
 
+def turning_spec():
+    # a planar curve with a varying turning rate: three components whose
+    # dense output exercises every column of the quartic coefficients
+    def rhs(s, y):
+        return np.array([math.cos(y[2]), math.sin(y[2]), -0.7 + 0.3 * math.cos(s)])
+
+    return IvpSpec(rhs=rhs, s0=0.5, y0=[0.0, 1.0, 0.0], rtol=1e-9, atol=1e-11)
+
+
+def scalar_stack(traj, s):
+    return np.array([traj(float(si)) for si in s])
+
+
+@pytest.mark.parametrize("s_end", [12.0, -12.0])
+def test_dense_array_path_matches_scalar_calls(s_end):
+    traj = integrate(turning_spec(), s_end)
+    assert traj.direction == math.copysign(1.0, s_end)
+    lo, hi = sorted((traj.s[0], traj.s_end))
+    rng = np.random.default_rng(7)
+    probes = [
+        rng.uniform(lo, hi, 500),                        # interior
+        traj.s,                                          # knots, both ends included
+        np.array([traj.s[0], traj.s_end]),
+        rng.uniform(lo - 3.0, lo, 20),                   # clamped to the first segment
+        rng.uniform(hi, hi + 3.0, 20),                   # clamped to the last segment
+    ]
+    for s in probes:
+        out = traj(s)
+        assert out.shape == (len(s), 3)
+        assert np.array_equal(out, scalar_stack(traj, s))
+    assert traj(np.array([])).shape == (0, 3)
+
+
+def test_dense_array_path_on_empty_trajectory():
+    # s_end == s0 takes no step: the dense output is the one-segment
+    # placeholder holding the initial state
+    traj = integrate(turning_spec(), 0.5)
+    assert len(traj.s) == 1
+    s = np.array([-1.0, 0.5, 0.5, 2.0])
+    assert np.array_equal(traj(s), scalar_stack(traj, s))
+    assert np.array_equal(traj(s), np.tile([0.0, 1.0, 0.0], (4, 1)))
+    assert traj(np.array([])).shape == (0, 3)
+
+
 def test_backward_integration():
     traj = integrate(exp_spec(rtol=1e-11, atol=1e-13), -1.0)
     assert abs(traj.states[-1, 0] - math.exp(-1)) < 1e-9
@@ -153,3 +197,13 @@ def test_find_root_parabolic_boundary_equation():
 def test_find_root_requires_sign_change():
     with pytest.raises(NoSignChangeError):
         find_root(lambda t: 1.0 + t * t, (0.0, 1.0))
+
+
+def test_find_root_not_converged_carries_bracket():
+    f = lambda t: t * t - 2.0
+    with pytest.raises(RootNotConvergedError) as exc:
+        find_root(f, (1.0, 2.0), max_iter=2)
+    lo, hi = exc.value.bracket
+    assert 1.0 <= lo < math.sqrt(2) < hi <= 2.0
+    assert hi - lo > 1e-12  # not converged
+    assert (f(lo) > 0) != (f(hi) > 0)

@@ -41,6 +41,14 @@ def test_rejects_nonpositive_height():
         integrate_parabolic(0.5, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("z0, kw", [(1e-12, {}), (parab_h3.Z_FLOOR, {}), (0.5, {"z_floor": 0.5})])
+def test_rejects_height_at_or_below_z_floor(z0, kw):
+    with pytest.raises(ValueError, match="z floor"):
+        integrate_parabolic(0.5, -1.0, z0, **kw)
+    with pytest.raises(ValueError, match="z floor"):
+        parab_h3.classify(0.5, -1.0, z0, **kw)
+
+
 def test_rejects_vanishing_initial_denominator():
     with pytest.raises(OutOfScopeParamsError):
         integrate_parabolic(0.5, -0.25, 1.0)
@@ -371,9 +379,9 @@ def test_profile_report_verdicts_flip_on_scaled_height(parab_figure_profiles):
 
 
 def test_profile_report_fails_on_empty_trajectory():
-    # z0 far below the z floor: the first step underflows at s = 0, so no
-    # residual has any interval to be measured on.
-    prof = integrate_parabolic(0.5, -1.0, 1e-12)
-    assert prof.s_max == 0.0 and prof.cause == "step_underflow"
+    # a zero horizon leaves the trajectory at s = 0, so no residual has any
+    # interval to be measured on.
+    prof = integrate_parabolic(0.5, -1.0, 1.0, horizon=0.0)
+    assert prof.s_max == 0.0
     verdicts = parab_h3.profile_report(prof)["verdicts"]
     assert verdicts == {"relation_residual": False, "mirror_symmetry": False, "derivative_identity": False}

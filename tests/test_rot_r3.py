@@ -167,6 +167,52 @@ def test_structure_self_intersections(fig3_structure):
     assert len(fig3_structure.intersections) >= 2
 
 
+def brute_force_self_intersections(points):
+    """Reference: every pair i + 2 <= j in (i, j) order, with the bounding-box
+    prefilter and the parametric crossing test of the library."""
+    pts = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
+    out = []
+    for i in range(len(pts) - 1):
+        (ax, ay), (bx, by) = pts[i], pts[i + 1]
+        for j in range(i + 2, len(pts) - 1):
+            (cx, cy), (dx, dy) = pts[j], pts[j + 1]
+            if not (min(cx, dx) <= max(ax, bx) and max(cx, dx) >= min(ax, bx)
+                    and min(cy, dy) <= max(ay, by) and max(cy, dy) >= min(ay, by)):
+                continue
+            d1x, d1y, d2x, d2y = bx - ax, by - ay, dx - cx, dy - cy
+            det = d1x * d2y - d1y * d2x
+            if abs(det) < 1e-30:
+                continue
+            rx, ry = cx - ax, cy - ay
+            t = (rx * d2y - ry * d2x) / det
+            w = (rx * d1y - ry * d1x) / det
+            if 0.0 <= t <= 1.0 and 0.0 <= w <= 1.0:
+                out.append((i, t, j, w))
+    return out
+
+
+def random_polylines(seed):
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3, 4):
+        yield rng.normal(size=(n, 2))
+    for _ in range(20):
+        n = int(rng.integers(5, 80))
+        walk = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        yield walk
+        yield np.round(walk)                       # touching and collinear segments
+        yield np.repeat(np.round(walk, 1), rng.integers(1, 3, size=n), axis=0)  # repeated points
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polyline_sweep_matches_brute_force(seed):
+    n_hits = 0
+    for pts in random_polylines(seed):
+        got = rot_r3.polyline_self_intersections(pts)
+        assert got == brute_force_self_intersections(pts)
+        n_hits += len(got)
+    assert n_hits > 100  # the polylines do cross
+
+
 def test_structure_gauss_sign(fig3_structure):
     # K > 0 on the arcs containing the maximum, K < 0 on the arc with the minimum.
     assert fig3_structure.gauss_sign_ok
