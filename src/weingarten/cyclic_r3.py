@@ -19,7 +19,7 @@ import numpy as np
 from . import geomcore
 from .csvio import write_csv
 from .errors import NonPositiveRadiusError, StepUnderflowError
-from .geomcore import SurfacePatch, WeingartenParams
+from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec
 from .odekit import IvpSpec, integrate
 
 # The relations the two non-rotational families satisfy: H = 0 and K = 0.
@@ -95,29 +95,32 @@ def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
     the radius is positive."""
     f, g, r = spec.center_x, spec.center_y, spec.radius
 
+    def col(fn, us):  # one call of the curve function per u
+        return np.array([[fn(u)] for u in us.tolist()])
+
     def pos(u, v):
-        rv = r.value(u)
-        return np.array([f.value(u) + rv * math.cos(v), g.value(u) + rv * math.sin(v), u])
+        rv, (cv, sv) = col(r.value, u), cos_sin(v)
+        return grid_vec(u, v, col(f.value, u) + rv * cv, col(g.value, u) + rv * sv, u[:, None])
 
     def du(u, v):
-        r1 = r.d1(u)
-        return np.array([f.d1(u) + r1 * math.cos(v), g.d1(u) + r1 * math.sin(v), 1.0])
+        r1, (cv, sv) = col(r.d1, u), cos_sin(v)
+        return grid_vec(u, v, col(f.d1, u) + r1 * cv, col(g.d1, u) + r1 * sv, 1.0)
 
     def dv(u, v):
-        rv = r.value(u)
-        return np.array([-rv * math.sin(v), rv * math.cos(v), 0.0])
+        rv, (cv, sv) = col(r.value, u), cos_sin(v)
+        return grid_vec(u, v, -rv * sv, rv * cv, 0.0)
 
     def duu(u, v):
-        r2 = r.d2(u)
-        return np.array([f.d2(u) + r2 * math.cos(v), g.d2(u) + r2 * math.sin(v), 0.0])
+        r2, (cv, sv) = col(r.d2, u), cos_sin(v)
+        return grid_vec(u, v, col(f.d2, u) + r2 * cv, col(g.d2, u) + r2 * sv, 0.0)
 
     def duv(u, v):
-        r1 = r.d1(u)
-        return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
+        r1, (cv, sv) = col(r.d1, u), cos_sin(v)
+        return grid_vec(u, v, -r1 * sv, r1 * cv, 0.0)
 
     def dvv(u, v):
-        rv = r.value(u)
-        return np.array([-rv * math.cos(v), -rv * math.sin(v), 0.0])
+        rv, (cv, sv) = col(r.value, u), cos_sin(v)
+        return grid_vec(u, v, -rv * cv, -rv * sv, 0.0)
 
     return SurfacePatch(
         u_range=spec.u_range,

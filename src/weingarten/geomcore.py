@@ -7,6 +7,7 @@ need the opposite geometric normal pass flip_normal=True. Principal
 curvatures are ordered k1 >= k2.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -17,27 +18,54 @@ from .errors import DegeneratePointError
 
 DEGENERACY_EPS = 1e-12
 
-Vec3Fn = Callable[[float, float], np.ndarray]
+Vec3Grid = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
     """Surface patch on a rectangle, with analytic partials up to second order.
 
-    Each callable maps (u, v) to a length-3 array. The partials are trusted
-    as given; ``check_derivatives`` verifies them against central finite
-    differences of ``position``.
+    Each callable maps 1-D arrays ``us`` (n_u,) and ``vs`` (n_v,) to the
+    (n_u, n_v, 3) grid of vectors at every (us[i], vs[j]). It equals the
+    scalar expression point by point, bit for bit, when per-line work runs
+    once per u (or v) with scalar code, libm trigonometry included
+    (``cos_sin``; numpy's vector loops may round differently), and u-columns
+    meet v-rows by broadcasting in the scalar operation order, e.g.
+    ``(ct * tp)[:, None] * cos_v``; the engine's dot products keep their
+    per-point BLAS calls (``_dot``). ``check_derivatives`` verifies the
+    partials against central finite differences of ``position``.
     """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
-    position: Vec3Fn
-    du: Vec3Fn
-    dv: Vec3Fn
-    duu: Vec3Fn
-    duv: Vec3Fn
-    dvv: Vec3Fn
+    position: Vec3Grid
+    du: Vec3Grid
+    dv: Vec3Grid
+    duu: Vec3Grid
+    duv: Vec3Grid
+    dvv: Vec3Grid
     name: str = ""
+
+
+def grid_vec(us, vs, x, y, z) -> np.ndarray:
+    """The (len(us), len(vs), 3) grid with components x, y, z, each a scalar,
+    a u-column of shape (n_u, 1) or a v-row of shape (n_v,), broadcast."""
+    out = np.empty((len(us), len(vs), 3))
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
+
+
+def cos_sin(xs):
+    """``math.cos`` and ``math.sin`` of each entry of a 1-D axis."""
+    xs = np.asarray(xs, dtype=float).tolist()
+    return np.array([math.cos(x) for x in xs]), np.array([math.sin(x) for x in xs])
+
+
+def profile_columns(states) -> list:
+    """u-columns (n, 1) of x, z, theta, cos(theta) and sin(theta) from the
+    (n, 3) states (x, z, theta) of an arc-length profile curve."""
+    x, z, th = np.asarray(states).T
+    return [c[:, None] for c in (x, z, th, *cos_sin(th))]
 
 
 class FundamentalForms(NamedTuple):
@@ -85,49 +113,65 @@ class WeingartenParams:
         return WeingartenParams(self.a / self.c, self.b / self.c, 1.0)
 
 
-def _normal(patch: SurfacePatch, u: float, v: float, flip: bool):
-    xu = patch.du(u, v)
-    xv = patch.dv(u, v)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the 3-vectors of two grids. A batched matmul of
+    (1, 3) rows with (3, 1) columns makes the same BLAS ddot call per vector
+    as ``a[i] @ b[i]``; einsum or a sum of products rounds differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _forms(patch: SurfacePatch, u_grid, v_grid, flip: bool, check_metric: bool):
+    """Grid axes, the (n_u, n_v) forms E, F, G, e, f, g, and EG - F^2.
+    Raises DegeneratePointError at the first point in row-major order where
+    |X_u x X_v| < DEGENERACY_EPS or, with ``check_metric``, EG - F^2 <= 0
+    (the normal first); NaN passes both tests."""
+    us = np.asarray(u_grid, dtype=float)
+    vs = np.asarray(v_grid, dtype=float)
+    if us.ndim != 1 or vs.ndim != 1 or us.size == 0 or vs.size == 0:
+        raise ValueError(f"u and v grids must be non-empty 1-D (got shapes {us.shape} and {vs.shape})")
+    xu = patch.du(us, vs)
+    xv = patch.dv(us, vs)
     n = np.cross(xu, xv)
-    norm = float(np.linalg.norm(n))
-    if norm < DEGENERACY_EPS:
-        raise DegeneratePointError(
-            f"|X_u x X_v| = {norm:.3e} < {DEGENERACY_EPS} at (u, v) = ({u}, {v})"
-        )
-    if flip:
-        return xu, xv, -n / norm
-    return xu, xv, n / norm
+    norm = np.sqrt(_dot(n, n))
+    E, F, G = _dot(xu, xu), _dot(xu, xv), _dot(xv, xv)
+    W = E * G - F * F
+    bad_normal = norm < DEGENERACY_EPS
+    bad = bad_normal | (W <= 0) if check_metric else bad_normal
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        u, v = float(us[i]), float(vs[j])
+        if bad_normal[i, j]:
+            raise DegeneratePointError(
+                f"|X_u x X_v| = {norm[i, j]:.3e} < {DEGENERACY_EPS} at (u, v) = ({u}, {v})"
+            )
+        raise DegeneratePointError(f"EG - F^2 = {float(W[i, j])} <= 0 at ({u}, {v})")
+    n = (-n if flip else n) / norm[..., None]
+    e, f, g = _dot(patch.duu(us, vs), n), _dot(patch.duv(us, vs), n), _dot(patch.dvv(us, vs), n)
+    return us, vs, (E, F, G, e, f, g), W
+
+
+def _curvatures(forms, W):
+    """H, K, k1, k2 from the forms and W = EG - F^2 > 0."""
+    E, F, G, e, f, g = forms
+    H = (e * G - 2 * f * F + g * E) / (2 * W)
+    K = (e * g - f * f) / W
+    disc = H * H - K
+    root = np.sqrt(np.where(0.0 > disc, 0.0, disc))  # max(disc, 0.0), NaN kept
+    return H, K, H + root, H - root
 
 
 def fundamental_forms(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> FundamentalForms:
     """E, F, G and e, f, g at an interior point; raises DegeneratePointError
     where the parametrization is singular."""
-    xu, xv, n = _normal(patch, u, v, flip_normal)
-    return FundamentalForms(
-        E=float(xu @ xu),
-        F=float(xu @ xv),
-        G=float(xv @ xv),
-        e=float(patch.duu(u, v) @ n),
-        f=float(patch.duv(u, v) @ n),
-        g=float(patch.dvv(u, v) @ n),
-    )
-
-
-def _curvatures_from_forms(forms: FundamentalForms, u: float, v: float) -> Curvatures:
-    E, F, G, e, f, g = forms
-    W = E * G - F * F
-    if W <= 0:
-        raise DegeneratePointError(f"EG - F^2 = {W} <= 0 at ({u}, {v})")
-    H = (e * G - 2 * f * F + g * E) / (2 * W)
-    K = (e * g - f * f) / W
-    root = np.sqrt(max(H * H - K, 0.0))
-    return Curvatures(H=H, K=K, k1=H + root, k2=H - root)
+    _, _, forms, _ = _forms(patch, [u], [v], flip_normal, check_metric=False)
+    return FundamentalForms(*(float(a[0, 0]) for a in forms))
 
 
 def curvatures(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> Curvatures:
     """H, K and k1 >= k2 at one point; raises DegeneratePointError where the
     parametrization or its first fundamental form is singular."""
-    return _curvatures_from_forms(fundamental_forms(patch, u, v, flip_normal), u, v)
+    _, _, forms, W = _forms(patch, [u], [v], flip_normal, check_metric=True)
+    return Curvatures(*(float(a[0, 0]) for a in _curvatures(forms, W)))
 
 
 @dataclass
@@ -155,22 +199,11 @@ class CurvatureField:
 
 
 def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = False) -> CurvatureField:
-    us, vs = [], []
-    rows = []
-    for u in np.asarray(u_grid, dtype=float):
-        for v in np.asarray(v_grid, dtype=float):
-            forms = fundamental_forms(patch, u, v, flip_normal)
-            us.append(u)
-            vs.append(v)
-            rows.append((*forms, *_curvatures_from_forms(forms, u, v)))
-    arr = np.array(rows)
-    return CurvatureField(
-        u=np.array(us), v=np.array(vs),
-        E=arr[:, 0], F=arr[:, 1], G=arr[:, 2],
-        e=arr[:, 3], f=arr[:, 4], g=arr[:, 5],
-        H=arr[:, 6], K=arr[:, 7], k1=arr[:, 8], k2=arr[:, 9],
-        flipped_normal=flip_normal,
-    )
+    """Forms and curvatures at every (u, v) of two non-empty 1-D grids, u
+    outer; each partial is evaluated once. ValueError on an empty grid."""
+    us, vs, forms, W = _forms(patch, u_grid, v_grid, flip_normal, check_metric=True)
+    columns = [c.ravel() for c in (*forms, *_curvatures(forms, W))]
+    return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns, flipped_normal=flip_normal)
 
 
 def weingarten_residual(
@@ -186,7 +219,7 @@ def weingarten_residual(
     return float(np.max(np.abs(res))), field
 
 
-def finite_difference_patch(position: Vec3Fn, u_range, v_range, step: float = 1e-4) -> SurfacePatch:
+def finite_difference_patch(position: Vec3Grid, u_range, v_range, step: float = 1e-4) -> SurfacePatch:
     """Independent oracle: a patch whose partials are central finite
     differences of ``position``. Keeps the analytic and numeric derivative
     routes separate."""
@@ -214,16 +247,17 @@ def check_derivatives(patch: SurfacePatch, n_u: int = 5, n_v: int = 5, step: flo
     v0, v1 = patch.v_range
     margin_u = max(2 * step, 1e-3 * (u1 - u0))
     margin_v = max(2 * step, 1e-3 * (v1 - v0))
-    worst = 0.0
-    for u in np.linspace(u0 + margin_u, u1 - margin_u, n_u):
-        for v in np.linspace(v0 + margin_v, v1 - margin_v, n_v):
-            for name in ("du", "dv", "duu", "duv", "dvv"):
-                a = getattr(patch, name)(u, v)
-                b = getattr(fd, name)(u, v)
-                dev = float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a))))
-                worst = max(worst, dev)
-                if dev > rtol:
-                    raise ValueError(
-                        f"analytic {name} deviates from finite differences by {dev:.2e} at ({u}, {v})"
-                    )
-    return worst
+    us = np.linspace(u0 + margin_u, u1 - margin_u, n_u)
+    vs = np.linspace(v0 + margin_v, v1 - margin_v, n_v)
+    names = ("du", "dv", "duu", "duv", "dvv")
+    dev = np.empty((len(us), len(vs), len(names)))  # row-major is the (u, v, partial) check order
+    for k, name in enumerate(names):
+        a = getattr(patch, name)(us, vs)
+        dev[..., k] = np.max(np.abs(a - getattr(fd, name)(us, vs)), axis=-1) / np.maximum(1.0, np.max(np.abs(a), axis=-1))
+    bad = dev > rtol
+    if bad.any():
+        i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"analytic {names[k]} deviates from finite differences by {dev[i, j, k]:.2e} at ({us[i]}, {vs[j]})"
+        )
+    return float(np.max(dev, initial=0.0))

@@ -4,12 +4,16 @@ import numpy as np
 
 from .geomcore import SurfacePatch
 
+# Rows per formatted string: memory stays flat where one string per file would not.
+_OBJ_CHUNK_ROWS = 2048
+
 
 def sample_grid_mesh(patch: SurfacePatch, n_u: int, n_v: int, wrap_v: bool = False):
-    """Sample a patch on a regular grid.
+    """Sample a patch on a regular grid with one ``position`` call.
 
-    Returns (vertices, faces): vertices has exactly n_u * n_v rows; faces are
-    quads of 0-based vertex indices. With wrap_v the last column of cells
+    Returns (vertices, faces): vertices has exactly n_u * n_v rows in
+    row-major (u outer) order; faces is an (n_faces, 4) integer array of
+    0-based vertex indices of quads. With wrap_v the last column of cells
     connects back to the first (closed surfaces of revolution) without
     duplicating the seam vertices. Both counts must be at least 2.
     """
@@ -22,23 +26,22 @@ def sample_grid_mesh(patch: SurfacePatch, n_u: int, n_v: int, wrap_v: bool = Fal
         vs = v0 + (v1 - v0) * np.arange(n_v) / n_v
     else:
         vs = np.linspace(v0, v1, n_v)
-    verts = np.empty((n_u * n_v, 3))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            verts[i * n_v + j] = patch.position(float(u), float(v))
-    faces = []
-    n_cols = n_v if wrap_v else n_v - 1
-    for i in range(n_u - 1):
-        for j in range(n_cols):
-            jn = (j + 1) % n_v
-            faces.append((i * n_v + j, i * n_v + jn, (i + 1) * n_v + jn, (i + 1) * n_v + j))
+    verts = patch.position(us, vs).reshape(n_u * n_v, 3)
+    row = np.arange(n_u - 1)[:, None] * n_v
+    j = np.arange(n_v if wrap_v else n_v - 1)
+    jn = (j + 1) % n_v
+    faces = np.stack([row + j, row + jn, row + n_v + jn, row + n_v + j], axis=-1).reshape(-1, 4)
     return verts, faces
 
 
 def write_obj(path, vertices, faces) -> None:
+    """Write ``v`` lines with 17 significant digits, so every float64
+    round-trips, and ``f`` lines with 1-based indices."""
+    vertices = np.asarray(vertices, dtype=float)
+    faces = np.asarray(faces, dtype=np.int64) + 1
     with open(path, "w") as fh:
         fh.write("# weingarten surface mesh\n")
-        for x, y, z in vertices:
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for face in faces:
-            fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
+        for rows, line in ((vertices, "v %.17g %.17g %.17g\n"), (faces, "f" + " %d" * faces.shape[-1] + "\n")):
+            for k in range(0, len(rows), _OBJ_CHUNK_ROWS):
+                chunk = rows[k:k + _OBJ_CHUNK_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))

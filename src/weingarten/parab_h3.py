@@ -33,7 +33,7 @@ from .errors import (
     OutOfScopeParamsError,
     StepUnderflowError,
 )
-from .geomcore import SurfacePatch
+from .geomcore import SurfacePatch, grid_vec, profile_columns
 from .odekit import Event, IvpSpec, find_root, integrate
 
 CASE_DEGENERATE_LINE = "DegenerateLine"
@@ -178,10 +178,9 @@ def _check_z0(z0: float, z_floor: float) -> None:
     """Refuse a start at or below the z -> 0 breakdown height: it is already
     past the breakdown that the z_floor event reports.
 
-    This does not cover every start that stops at s = 0. Just above the floor
-    (z0 = 2e-8 at the defaults) theta' ~ 1/z0 is so large against atol that
-    the starting-step heuristic of odekit.integrate proposes a first step
-    below the minimum step, and the run ends in step_underflow at s = 0."""
+    Just above the floor (z0 = 2e-8 at the defaults) theta' ~ 1/z0 is so
+    large against atol that odekit's starting step is below the minimum
+    step; ``integrate_parabolic`` then raises StepUnderflowError."""
     if not z0 > z_floor:
         raise ValueError(f"z0 = {z0} must exceed the z floor {z_floor} (upper half-space)")
 
@@ -198,7 +197,8 @@ def integrate_parabolic(
 ) -> ParabolicProfile:
     """Integrate the profile forward until the horizon, a full-turn budget,
     or one of the breakdown events (z -> 0, vanishing angular denominator).
-    Requires z0 > z_floor (ValueError otherwise).
+    Requires z0 > z_floor (ValueError otherwise); raises StepUnderflowError
+    when the step control cannot take a first step.
 
     The breakdown events encode the finite maximal-interval cases of the
     classification; they terminate the run cleanly and are recorded in
@@ -211,6 +211,8 @@ def integrate_parabolic(
     angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1,
                        terminal=True, name="angle_span")
     traj = _solve(a, b, z0, tol, horizon, z_floor, den_floor, events=(angle_span,))
+    if traj.reason == odekit.UNDERFLOW and len(traj.s) == 1:
+        raise StepUnderflowError(f"the first step from z0 = {z0} underflows: nothing to verify", trajectory=traj)
     causes = {odekit.REACHED_END: "horizon", odekit.GUARD_STOP: "guard", odekit.UNDERFLOW: "step_underflow"}
     cause = causes.get(traj.reason) or traj.events[-1].name
 
@@ -581,22 +583,22 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0), n_check: int = 4
     residual = float(np.max(np.abs(a * H + b * K - 1.0)))
 
     def pos(s, t):
-        x, z_, _ = traj(s)
-        return np.array([x, t, z_])
+        x, z_, _, _, _ = profile_columns(traj(s))
+        return grid_vec(s, t, x, t, z_)
 
     def d_s(s, t):
-        _, _, th = traj(s)
-        return np.array([math.cos(th), 0.0, math.sin(th)])
+        _, _, _, ct, st = profile_columns(traj(s))
+        return grid_vec(s, t, ct, 0.0, st)
 
     def d_t(s, t):
-        return np.array([0.0, 1.0, 0.0])
+        return grid_vec(s, t, 0.0, 1.0, 0.0)
 
     def d_ss(s, t):
-        _, z_, th = traj(s)
-        tp_ = slope(a, b, z_, th)
-        return np.array([-math.sin(th) * tp_, 0.0, math.cos(th) * tp_])
+        _, z_, th, ct, st = profile_columns(traj(s))
+        tp_ = np.array([[slope(a, b, zz, tt)] for (zz,), (tt,) in zip(z_, th)])
+        return grid_vec(s, t, -st * tp_, 0.0, ct * tp_)
 
-    zero = lambda s, t: np.zeros(3)
+    zero = lambda s, t: grid_vec(s, t, 0.0, 0.0, 0.0)
 
     patch = SurfacePatch(
         u_range=(0.0, profile.s_max),

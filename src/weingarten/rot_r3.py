@@ -21,7 +21,7 @@ import numpy as np
 from . import geomcore, meshes, odekit
 from .csvio import write_csv
 from .errors import BoundViolatedError, DegeneratePointError, GuardViolationError
-from .geomcore import SurfacePatch, WeingartenParams
+from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec, profile_columns
 from .odekit import Event, IvpSpec, find_root, integrate
 
 BOUND_SLACK = 1e-9
@@ -512,15 +512,13 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
     per_period = [len(classes)] * profile.n_periods
 
     # Gauss-curvature sign on the arcs bounded by vertical points, sampled
-    # through geomcore on the revolved surface.
-    patch = profile_patch(profile)
+    # through geomcore on the revolved surface, seven points per arc.
     arcs = [(0.0, T1, 1), (T1, T3, -1), (T3, T, 1)]
+    ss = np.concatenate([np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 7) for lo, hi, _ in arcs])
+    gauss = geomcore.curvature_field(profile_patch(profile), ss, [0.5]).K.reshape(len(arcs), 7)
     gauss_arcs = []
     gauss_ok = True
-    for s_lo, s_hi, expected in arcs:
-        span = s_hi - s_lo
-        ss = np.linspace(s_lo + 0.15 * span, s_hi - 0.15 * span, 7)
-        ks = [geomcore.curvatures(patch, float(s), 0.5).K for s in ss]
+    for (s_lo, s_hi, expected), ks in zip(arcs, gauss):
         sign = 1 if all(k > 0 for k in ks) else (-1 if all(k < 0 for k in ks) else 0)
         gauss_arcs.append((float(s_lo), float(s_hi), sign, expected))
         gauss_ok = gauss_ok and sign == expected
@@ -557,7 +555,7 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
 class RevolvedSurface:
     patch: SurfacePatch
     vertices: np.ndarray
-    faces: list
+    faces: np.ndarray
     relation_residual: float
 
 
@@ -578,29 +576,29 @@ def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
     traj = profile.trajectory
 
     def pos(s, phi):
-        x, z, _ = traj(s)
-        return np.array([x, z * math.cos(phi), z * math.sin(phi)])
+        (x, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        return grid_vec(s, phi, x, z * cp, z * sp)
 
     def d_s(s, phi):
-        _, _, th = traj(s)
-        return np.array([math.cos(th), math.sin(th) * math.cos(phi), math.sin(th) * math.sin(phi)])
+        (_, _, _, ct, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        return grid_vec(s, phi, ct, st * cp, st * sp)
 
     def d_phi(s, phi):
-        _, z, _ = traj(s)
-        return np.array([0.0, -z * math.sin(phi), z * math.cos(phi)])
+        (_, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        return grid_vec(s, phi, 0.0, -z * sp, z * cp)
 
     def d_ss(s, phi):
-        _, z, th = traj(s)
-        tp = slope(p, z, th)
-        return np.array([-math.sin(th) * tp, math.cos(th) * tp * math.cos(phi), math.cos(th) * tp * math.sin(phi)])
+        (_, z, th, ct, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        tp = np.array([[slope(p, z_, th_)] for (z_,), (th_,) in zip(z, th)])
+        return grid_vec(s, phi, -st * tp, ct * tp * cp, ct * tp * sp)
 
     def d_sphi(s, phi):
-        _, _, th = traj(s)
-        return np.array([0.0, -math.sin(th) * math.sin(phi), math.sin(th) * math.cos(phi)])
+        (_, _, _, _, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        return grid_vec(s, phi, 0.0, -st * sp, st * cp)
 
     def d_phiphi(s, phi):
-        _, z, _ = traj(s)
-        return np.array([0.0, -z * math.cos(phi), -z * math.sin(phi)])
+        (_, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
+        return grid_vec(s, phi, 0.0, -z * cp, -z * sp)
 
     return SurfacePatch(
         u_range=(0.0, profile.s_end),

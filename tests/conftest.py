@@ -1,6 +1,6 @@
 import pytest
 
-from weingarten import parab_h3, rot_r3
+from weingarten import cyclic_r3, parab_h3, rot_r3
 from weingarten.geomcore import WeingartenParams
 
 
@@ -23,4 +23,25 @@ def parab_figure_profiles():
         (0.5, -0.8): parab_h3.integrate_parabolic(0.5, -0.8, 1.0),
         (0.5, -0.2): parab_h3.integrate_parabolic(0.5, -0.2, 1.0),
         (0.5, 0.3): parab_h3.integrate_parabolic(0.5, 0.3, 1.0),
+    }
+
+
+@pytest.fixture(scope="session")
+def cyclic_specs():
+    return {
+        "riemann": cyclic_r3.riemann_example(1.0, 0.5, 1.0, 0.1),
+        "cone": cyclic_r3.generalized_cone(0.0, 0.3, 0.0, 0.4, 1.0, 0.5),
+        "sphere": cyclic_r3.sphere_slice(1.3),
+    }
+
+
+@pytest.fixture(scope="session")
+def paper_patches(fig3_profile, parab_figure_profiles, cyclic_specs):
+    # One patch of each family the paper checks: the Fig. 3 rotational
+    # surface, a PeriodicComplete parabolic surface, and the cyclic Riemann
+    # example, generalized cone and sphere.
+    return {
+        "rot": rot_r3.profile_patch(fig3_profile),
+        "parab": parab_h3.parab_patch(parab_figure_profiles[(0.5, -0.2)]).patch,
+        **{name: cyclic_r3.cyclic_patch(spec) for name, spec in cyclic_specs.items()},
     }

@@ -172,6 +172,14 @@ def test_parab_integrate_empty_trajectory_fails_verdicts(tmp_path):
     assert not (tmp_path / "parab_profile.json").exists()
 
 
+def test_parab_integrate_first_step_underflow_is_usage_error(tmp_path):
+    # z0 = 2e-8 clears the z floor, but no first step can be taken: exit 1
+    # and no report, instead of a report with s_max = 0
+    assert run(["parab-h3", "integrate", "--a", "0.5", "--b", "-1", "--z0", "2e-8",
+                "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh", "export", "--surface", "cone", "--phi-samples", "0"],
     ["mesh", "export", "--surface", "sphere", "--phi-samples", "1"],
@@ -219,10 +227,15 @@ def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def test_artifact_digest_covers_every_subcommand_and_surface():
-    spec = importlib.util.spec_from_file_location("artifact_digest", ROOT / "tools" / "artifact_digest.py")
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_artifact_digest_covers_every_subcommand_and_surface():
+    tool = _load_tool("artifact_digest")
     covered = {tuple(argv[:2]) for argv in tool.RUNS}
     groups = _subparsers(cli.build_parser())
     assert covered == {(g, c) for g, gp in groups.items() for c in _subparsers(gp)}
@@ -231,3 +244,13 @@ def test_artifact_digest_covers_every_subcommand_and_surface():
                        if a.dest == "surface")
         used = {argv[argv.index("--surface") + 1] for argv in tool.RUNS if argv[:2] == [group, command]}
         assert used == set(choices)
+
+
+def test_seeded_digest_smoke():
+    # a few seeded items of each benchmark workload, hashed twice alike
+    tool = _load_tool("seeded_digest")
+    items = {"rot_verify": 1, "parab_classify": 2, "surface_export": 2}
+    lines = list(tool.digest_lines(seeds=[1], items=items))
+    assert [line.split()[:3] for line in lines] == [[name, "seed=1", f"items={n}"] for name, n in items.items()]
+    assert all(len(line.split()[3]) == 64 for line in lines)
+    assert list(tool.digest_lines(seeds=[1], items=items)) == lines

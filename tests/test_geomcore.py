@@ -16,17 +16,27 @@ from weingarten.geomcore import (
 )
 
 
+def on_grid(fn):
+    """Lift fn(U, V) -> [x, y, z], an expression on meshgrid arrays whose
+    components may be scalars, to the grid contract of SurfacePatch."""
+    def grid(us, vs):
+        U, V = np.meshgrid(us, vs, indexing="ij")
+        return np.stack(np.broadcast_arrays(U, *fn(U, V))[1:], axis=-1)
+    return grid
+
+
 def sphere_patch(radius=1.0):
     R = radius
+    sin, cos = np.sin, np.cos
     return SurfacePatch(
         u_range=(0.3, math.pi - 0.3),
         v_range=(0.0, 2 * math.pi),
-        position=lambda u, v: R * np.array([math.sin(u) * math.cos(v), math.sin(u) * math.sin(v), math.cos(u)]),
-        du=lambda u, v: R * np.array([math.cos(u) * math.cos(v), math.cos(u) * math.sin(v), -math.sin(u)]),
-        dv=lambda u, v: R * np.array([-math.sin(u) * math.sin(v), math.sin(u) * math.cos(v), 0.0]),
-        duu=lambda u, v: R * np.array([-math.sin(u) * math.cos(v), -math.sin(u) * math.sin(v), -math.cos(u)]),
-        duv=lambda u, v: R * np.array([-math.cos(u) * math.sin(v), math.cos(u) * math.cos(v), 0.0]),
-        dvv=lambda u, v: R * np.array([-math.sin(u) * math.cos(v), -math.sin(u) * math.sin(v), 0.0]),
+        position=on_grid(lambda u, v: [R * sin(u) * cos(v), R * sin(u) * sin(v), R * cos(u)]),
+        du=on_grid(lambda u, v: [R * cos(u) * cos(v), R * cos(u) * sin(v), -R * sin(u)]),
+        dv=on_grid(lambda u, v: [-R * sin(u) * sin(v), R * sin(u) * cos(v), 0.0]),
+        duu=on_grid(lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), -R * cos(u)]),
+        duv=on_grid(lambda u, v: [-R * cos(u) * sin(v), R * cos(u) * cos(v), 0.0]),
+        dvv=on_grid(lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), 0.0]),
         name="sphere",
     )
 
@@ -36,12 +46,12 @@ def cylinder_patch(radius=2.0):
     return SurfacePatch(
         u_range=(-1.0, 1.0),
         v_range=(0.0, 2 * math.pi),
-        position=lambda u, v: np.array([u, r * math.cos(v), r * math.sin(v)]),
-        du=lambda u, v: np.array([1.0, 0.0, 0.0]),
-        dv=lambda u, v: np.array([0.0, -r * math.sin(v), r * math.cos(v)]),
-        duu=lambda u, v: np.zeros(3),
-        duv=lambda u, v: np.zeros(3),
-        dvv=lambda u, v: np.array([0.0, -r * math.cos(v), -r * math.sin(v)]),
+        position=on_grid(lambda u, v: [u, r * np.cos(v), r * np.sin(v)]),
+        du=on_grid(lambda u, v: [1.0, 0.0, 0.0]),
+        dv=on_grid(lambda u, v: [0.0, -r * np.sin(v), r * np.cos(v)]),
+        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        dvv=on_grid(lambda u, v: [0.0, -r * np.cos(v), -r * np.sin(v)]),
         name="cylinder",
     )
 
@@ -50,12 +60,12 @@ def plane_patch():
     return SurfacePatch(
         u_range=(-1.0, 1.0),
         v_range=(-1.0, 1.0),
-        position=lambda u, v: np.array([u, v, 0.0]),
-        du=lambda u, v: np.array([1.0, 0.0, 0.0]),
-        dv=lambda u, v: np.array([0.0, 1.0, 0.0]),
-        duu=lambda u, v: np.zeros(3),
-        duv=lambda u, v: np.zeros(3),
-        dvv=lambda u, v: np.zeros(3),
+        position=on_grid(lambda u, v: [u, v, 0.0]),
+        du=on_grid(lambda u, v: [1.0, 0.0, 0.0]),
+        dv=on_grid(lambda u, v: [0.0, 1.0, 0.0]),
+        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
         name="plane",
     )
 
@@ -63,16 +73,16 @@ def plane_patch():
 def catenoid_patch():
     # Profile z(x) = cosh(x) revolved about the x-axis: the rotational
     # minimal surface.
-    ch, sh = math.cosh, math.sinh
+    ch, sh = np.cosh, np.sinh
     return SurfacePatch(
         u_range=(-1.0, 1.0),
         v_range=(0.0, 2 * math.pi),
-        position=lambda u, v: np.array([u, ch(u) * math.cos(v), ch(u) * math.sin(v)]),
-        du=lambda u, v: np.array([1.0, sh(u) * math.cos(v), sh(u) * math.sin(v)]),
-        dv=lambda u, v: np.array([0.0, -ch(u) * math.sin(v), ch(u) * math.cos(v)]),
-        duu=lambda u, v: np.array([0.0, ch(u) * math.cos(v), ch(u) * math.sin(v)]),
-        duv=lambda u, v: np.array([0.0, -sh(u) * math.sin(v), sh(u) * math.cos(v)]),
-        dvv=lambda u, v: np.array([0.0, -ch(u) * math.cos(v), -ch(u) * math.sin(v)]),
+        position=on_grid(lambda u, v: [u, ch(u) * np.cos(v), ch(u) * np.sin(v)]),
+        du=on_grid(lambda u, v: [1.0, sh(u) * np.cos(v), sh(u) * np.sin(v)]),
+        dv=on_grid(lambda u, v: [0.0, -ch(u) * np.sin(v), ch(u) * np.cos(v)]),
+        duu=on_grid(lambda u, v: [0.0, ch(u) * np.cos(v), ch(u) * np.sin(v)]),
+        duv=on_grid(lambda u, v: [0.0, -sh(u) * np.sin(v), sh(u) * np.cos(v)]),
+        dvv=on_grid(lambda u, v: [0.0, -ch(u) * np.cos(v), -ch(u) * np.sin(v)]),
         name="catenoid",
     )
 
@@ -231,12 +241,12 @@ def test_degenerate_point_raises():
     degenerate = SurfacePatch(
         u_range=(-1, 1),
         v_range=(-1, 1),
-        position=lambda u, v: np.array([u, u, 0.0]),
-        du=lambda u, v: np.array([1.0, 1.0, 0.0]),
-        dv=lambda u, v: np.array([1.0, 1.0, 0.0]),  # parallel to du
-        duu=lambda u, v: np.zeros(3),
-        duv=lambda u, v: np.zeros(3),
-        dvv=lambda u, v: np.zeros(3),
+        position=on_grid(lambda u, v: [u, u, 0.0]),
+        du=on_grid(lambda u, v: [1.0, 1.0, 0.0]),
+        dv=on_grid(lambda u, v: [1.0, 1.0, 0.0]),  # parallel to du
+        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
     )
     with pytest.raises(DegeneratePointError):
         fundamental_forms(degenerate, 0.0, 0.0)
@@ -248,12 +258,12 @@ def test_rounded_singular_metric_raises_degenerate_point():
     sheared = SurfacePatch(
         u_range=(-1, 1),
         v_range=(-1, 1),
-        position=lambda u, v: np.array([1e8 * (u + v), 1e-8 * v, 0.0]),
-        du=lambda u, v: np.array([1e8, 0.0, 0.0]),
-        dv=lambda u, v: np.array([1e8, 1e-8, 0.0]),
-        duu=lambda u, v: np.zeros(3),
-        duv=lambda u, v: np.zeros(3),
-        dvv=lambda u, v: np.zeros(3),
+        position=on_grid(lambda u, v: [1e8 * (u + v), 1e-8 * v, 0.0]),
+        du=on_grid(lambda u, v: [1e8, 0.0, 0.0]),
+        dv=on_grid(lambda u, v: [1e8, 1e-8, 0.0]),
+        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
     )
     with pytest.raises(DegeneratePointError):
         curvatures(sheared, 0.0, 0.0)
@@ -281,3 +291,92 @@ def test_curvature_field_csv_roundtrip(tmp_path):
     assert abs(first[0] - 0.5) < 1e-15
     # values round-trip through the 17-significant-digit format
     assert first[2] == field.E[0]
+
+
+# ---------------------------------------------------------------------------
+# Grid engine against the per-point reference
+# ---------------------------------------------------------------------------
+
+def reference_point(patch, u, v, flip=False):
+    """Forms and curvatures at one point, computed as the per-point engine
+    did: np.cross, @ and np.linalg.norm on length-3 vectors, then the scalar
+    H/K formula in Python floats."""
+    def at(fn):
+        return fn(np.array([u]), np.array([v]))[0, 0]
+
+    xu, xv = at(patch.du), at(patch.dv)
+    n = np.cross(xu, xv)
+    norm = float(np.linalg.norm(n))
+    n = -n / norm if flip else n / norm
+    E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
+    e, f, g = float(at(patch.duu) @ n), float(at(patch.duv) @ n), float(at(patch.dvv) @ n)
+    W = E * G - F * F
+    H = (e * G - 2 * f * F + g * E) / (2 * W)
+    K = (e * g - f * f) / W
+    root = np.sqrt(max(H * H - K, 0.0))
+    return E, F, G, e, f, g, H, K, H + root, H - root
+
+
+def test_curvature_field_bit_identical_to_per_point_reference(paper_patches):
+    for name, patch in paper_patches.items():
+        us = np.linspace(*patch.u_range, 23)
+        vs = np.linspace(*patch.v_range, 9, endpoint=False)
+        for flip in (False, True):
+            field = curvature_field(patch, us, vs, flip_normal=flip)
+            got = np.column_stack([field.E, field.F, field.G, field.e, field.f, field.g,
+                                   field.H, field.K, field.k1, field.k2])
+            want = np.array([reference_point(patch, u, v, flip) for u in us for v in vs])
+            assert np.array_equal(got, want), name
+            assert np.array_equal(field.u, np.repeat(us, len(vs)))
+            assert np.array_equal(field.v, np.tile(vs, len(us)))
+        u, v = float(us[5]), float(vs[3])
+        assert tuple(curvatures(patch, u, v)) == reference_point(patch, u, v)[6:], name
+        assert tuple(fundamental_forms(patch, u, v, flip_normal=True)) == reference_point(patch, u, v, True)[:6]
+
+
+@pytest.mark.parametrize("u_grid, v_grid", [([], [0.0, 1.0]), ([0.0, 1.0], []), (np.empty(0), np.empty(0))])
+def test_empty_grid_is_refused(u_grid, v_grid):
+    with pytest.raises(ValueError, match="non-empty"):
+        curvature_field(sphere_patch(), u_grid, v_grid)
+    with pytest.raises(ValueError, match="non-empty"):
+        weingarten_residual(sphere_patch(), WeingartenParams(2, 0, 2), u_grid, v_grid)
+
+
+# du = (1e8, 0, 0) everywhere; dv picks one of three cases per (u, v).
+REGULAR = [0.0, 1.0, 0.0]
+SINGULAR_METRIC = [1e8, 1e-8, 0.0]  # |X_u x X_v| = 1, but EG - F^2 rounds to 0
+PARALLEL = [1e8, 0.0, 0.0]          # X_u x X_v = 0 and EG - F^2 = 0
+
+
+def _table_patch(table):
+    def dv(us, vs):
+        return np.array([[table.get((u, v), REGULAR) for v in vs.tolist()] for u in us.tolist()])
+
+    zero = on_grid(lambda u, v: [0.0, 0.0, 0.0])
+    return SurfacePatch(u_range=(0, 1), v_range=(0, 1), position=zero,
+                        du=on_grid(lambda u, v: [1e8, 0.0, 0.0]), dv=dv, duu=zero, duv=zero, dvv=zero)
+
+
+def test_degeneracy_errors_follow_row_major_order():
+    grid = ([0.0, 1.0], [0.0, 1.0])  # row-major: (0,0) (0,1) (1,0) (1,1)
+    # the singular metric at (0, 1) comes before the singular normal at (1, 0)
+    patch = _table_patch({(0.0, 1.0): SINGULAR_METRIC, (1.0, 0.0): PARALLEL})
+    with pytest.raises(DegeneratePointError, match=r"EG - F\^2 = 0.0 <= 0 at \(0.0, 1.0\)"):
+        curvature_field(patch, *grid)
+    # swapped, the singular normal at (0, 1) comes first
+    patch = _table_patch({(0.0, 1.0): PARALLEL, (1.0, 0.0): SINGULAR_METRIC})
+    with pytest.raises(DegeneratePointError, match=r"\|X_u x X_v\| = 0.000e\+00 .* \(u, v\) = \(0.0, 1.0\)"):
+        curvature_field(patch, *grid)
+    # at one point the normal is tested before the metric
+    with pytest.raises(DegeneratePointError, match=r"\|X_u x X_v\|"):
+        curvatures(patch, 0.0, 1.0)
+    # the forms alone test only the normal
+    assert fundamental_forms(patch, 1.0, 0.0).E == 1e16
+    with pytest.raises(DegeneratePointError, match=r"\|X_u x X_v\|"):
+        fundamental_forms(patch, 0.0, 1.0)
+
+
+def test_nan_does_not_raise():
+    patch = _table_patch({(0.0, 1.0): [math.nan, 1.0, 0.0]})
+    field = curvature_field(patch, [0.0, 1.0], [0.0, 1.0])
+    assert np.isnan(field.H[1]) and not np.isnan(field.H[[0, 2, 3]]).any()

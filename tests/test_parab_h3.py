@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weingarten import parab_h3
-from weingarten.errors import NoRootError, NotCircleCaseError, OutOfScopeParamsError
+from weingarten.errors import NoRootError, NotCircleCaseError, OutOfScopeParamsError, StepUnderflowError
 from weingarten.parab_h3 import (
     CASE_COMPLETE_CONCAVE_GRAPH,
     CASE_DEGENERATE_LINE,
@@ -47,6 +47,17 @@ def test_rejects_height_at_or_below_z_floor(z0, kw):
         integrate_parabolic(0.5, -1.0, z0, **kw)
     with pytest.raises(ValueError, match="z floor"):
         parab_h3.classify(0.5, -1.0, z0, **kw)
+
+
+def test_refuses_start_whose_first_step_underflows():
+    # Just above the floor the starting step falls below the minimum step,
+    # so the run would end at s = 0 with nothing to classify or verify.
+    with pytest.raises(StepUnderflowError, match="first step") as exc:
+        integrate_parabolic(0.5, -1.0, 2e-8)
+    assert exc.value.trajectory.s.tolist() == [0.0]
+    with pytest.raises(StepUnderflowError):
+        parab_h3.classify(0.5, -1.0, 2e-8)
+    assert integrate_parabolic(0.5, -1.0, 1e-7).s_max > 0
 
 
 def test_rejects_vanishing_initial_denominator():

@@ -1,0 +1,109 @@
+"""The grid patches of the three families against the per-point closures
+they replace, kept here as the reference: every partial must be
+bit-identical to the stack of scalar evaluations."""
+
+import math
+
+import numpy as np
+import pytest
+
+from weingarten import parab_h3, rot_r3
+
+
+def scalar_rot(profile):
+    p, traj = profile.params, profile.trajectory
+
+    def pos(s, phi):
+        x, z, _ = traj(s)
+        return np.array([x, z * math.cos(phi), z * math.sin(phi)])
+
+    def d_s(s, phi):
+        _, _, th = traj(s)
+        return np.array([math.cos(th), math.sin(th) * math.cos(phi), math.sin(th) * math.sin(phi)])
+
+    def d_phi(s, phi):
+        _, z, _ = traj(s)
+        return np.array([0.0, -z * math.sin(phi), z * math.cos(phi)])
+
+    def d_ss(s, phi):
+        _, z, th = traj(s)
+        tp = rot_r3.slope(p, z, th)
+        return np.array([-math.sin(th) * tp, math.cos(th) * tp * math.cos(phi), math.cos(th) * tp * math.sin(phi)])
+
+    def d_sphi(s, phi):
+        _, _, th = traj(s)
+        return np.array([0.0, -math.sin(th) * math.sin(phi), math.sin(th) * math.cos(phi)])
+
+    def d_phiphi(s, phi):
+        _, z, _ = traj(s)
+        return np.array([0.0, -z * math.cos(phi), -z * math.sin(phi)])
+
+    return dict(position=pos, du=d_s, dv=d_phi, duu=d_ss, duv=d_sphi, dvv=d_phiphi)
+
+
+def scalar_parab(profile):
+    a, b, traj = profile.a, profile.b, profile.trajectory
+
+    def pos(s, t):
+        x, z_, _ = traj(s)
+        return np.array([x, t, z_])
+
+    def d_s(s, t):
+        _, _, th = traj(s)
+        return np.array([math.cos(th), 0.0, math.sin(th)])
+
+    def d_ss(s, t):
+        _, z_, th = traj(s)
+        tp_ = parab_h3.slope(a, b, z_, th)
+        return np.array([-math.sin(th) * tp_, 0.0, math.cos(th) * tp_])
+
+    zero = lambda s, t: np.zeros(3)
+    return dict(position=pos, du=d_s, dv=lambda s, t: np.array([0.0, 1.0, 0.0]), duu=d_ss, duv=zero, dvv=zero)
+
+
+def scalar_cyclic(spec):
+    f, g, r = spec.center_x, spec.center_y, spec.radius
+
+    def pos(u, v):
+        rv = r.value(u)
+        return np.array([f.value(u) + rv * math.cos(v), g.value(u) + rv * math.sin(v), u])
+
+    def du(u, v):
+        r1 = r.d1(u)
+        return np.array([f.d1(u) + r1 * math.cos(v), g.d1(u) + r1 * math.sin(v), 1.0])
+
+    def dv(u, v):
+        rv = r.value(u)
+        return np.array([-rv * math.sin(v), rv * math.cos(v), 0.0])
+
+    def duu(u, v):
+        r2 = r.d2(u)
+        return np.array([f.d2(u) + r2 * math.cos(v), g.d2(u) + r2 * math.sin(v), 0.0])
+
+    def duv(u, v):
+        r1 = r.d1(u)
+        return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
+
+    def dvv(u, v):
+        rv = r.value(u)
+        return np.array([-rv * math.cos(v), -rv * math.sin(v), 0.0])
+
+    return dict(position=pos, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv)
+
+
+@pytest.fixture(scope="module")
+def references(fig3_profile, parab_figure_profiles, cyclic_specs):
+    return {
+        "rot": scalar_rot(fig3_profile),
+        "parab": scalar_parab(parab_figure_profiles[(0.5, -0.2)]),
+        **{name: scalar_cyclic(spec) for name, spec in cyclic_specs.items()},
+    }
+
+
+def test_grid_partials_equal_scalar_closures(paper_patches, references):
+    for name, patch in paper_patches.items():
+        us = np.linspace(*patch.u_range, 17)
+        vs = np.linspace(*patch.v_range, 11)
+        for partial, scalar in references[name].items():
+            want = np.array([[scalar(u, v) for v in vs.tolist()] for u in us.tolist()])
+            assert np.array_equal(getattr(patch, partial)(us, vs), want), (name, partial)

@@ -5,7 +5,7 @@ import pytest
 
 from weingarten import geomcore, rot_r3
 from weingarten.errors import BoundViolatedError, DegeneratePointError
-from weingarten.geomcore import SurfacePatch, WeingartenParams
+from weingarten.geomcore import SurfacePatch, WeingartenParams, grid_vec
 
 FIG3 = WeingartenParams(2, -2, 1)
 
@@ -269,12 +269,12 @@ def test_revolve_cylinder_limit():
     patch = SurfacePatch(
         u_range=(0.0, 1.0),
         v_range=(0.0, 2 * math.pi),
-        position=lambda s, p: np.array([s, z0 * math.cos(p), z0 * math.sin(p)]),
-        du=lambda s, p: np.array([1.0, 0.0, 0.0]),
-        dv=lambda s, p: np.array([0.0, -z0 * math.sin(p), z0 * math.cos(p)]),
-        duu=lambda s, p: np.zeros(3),
-        duv=lambda s, p: np.zeros(3),
-        dvv=lambda s, p: np.array([0.0, -z0 * math.cos(p), -z0 * math.sin(p)]),
+        position=lambda s, p: grid_vec(s, p, s[:, None], z0 * np.cos(p), z0 * np.sin(p)),
+        du=lambda s, p: grid_vec(s, p, 1.0, 0.0, 0.0),
+        dv=lambda s, p: grid_vec(s, p, 0.0, -z0 * np.sin(p), z0 * np.cos(p)),
+        duu=lambda s, p: grid_vec(s, p, 0.0, 0.0, 0.0),
+        duv=lambda s, p: grid_vec(s, p, 0.0, 0.0, 0.0),
+        dvv=lambda s, p: grid_vec(s, p, 0.0, -z0 * np.cos(p), -z0 * np.sin(p)),
     )
     for s in (0.1, 0.5, 0.9):
         assert abs(geomcore.curvatures(patch, s, 1.0).K) < 1e-14
