@@ -9,6 +9,7 @@ overrides the output directory.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -137,21 +138,16 @@ def cmd_cyclic_coeffs(args) -> int:
 
 def cmd_mesh_export(args) -> int:
     out = _out_dir(args)
-    path = out / args.obj_name
     if args.surface == "rot":
-        profile = _rot_profile(args)
-        surf = rot_r3.revolve(profile, phi_samples=args.phi_samples, s_samples=args.s_samples, check=False)
-        meshes.write_obj(path, surf.vertices, surf.faces)
+        patch = rot_r3.profile_patch(_rot_profile(args))
     elif args.surface == "parab":
         profile = parab_h3.integrate_parabolic(args.a, args.b, args.z0, tol=args.tol)
         patch = parab_h3.parab_patch(profile, t_range=(args.t_min, args.t_max)).patch
-        verts, faces = meshes.sample_grid_mesh(patch, args.s_samples, args.phi_samples)
-        meshes.write_obj(path, verts, faces)
     else:
-        spec = _cyclic_surface_from_args(args, args.surface)
-        patch = cyclic_r3.cyclic_patch(spec)
-        verts, faces = meshes.sample_grid_mesh(patch, args.s_samples, args.phi_samples, wrap_v=True)
-        meshes.write_obj(path, verts, faces)
+        patch = cyclic_r3.cyclic_patch(_cyclic_surface_from_args(args, args.surface))
+    # the surfaces of revolution and the circle foliations close up in v
+    verts, faces = meshes.sample_grid_mesh(patch, args.s_samples, args.phi_samples, wrap_v=args.surface != "parab")
+    meshes.write_obj(out / args.obj_name, verts, faces)
     return EXIT_OK
 
 
@@ -235,7 +231,9 @@ def _add_riemann_params(p):
         p.add_argument(f"--{name}", type=float, default=0.0)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="weingarten",
                      description="Integrate, classify, and verify linear Weingarten surfaces.")
     sub = parser.add_subparsers(dest="group", required=True)

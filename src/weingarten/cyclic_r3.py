@@ -102,30 +102,22 @@ def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
         rv, (cv, sv) = col(r.value, u), cos_sin(v)
         return grid_vec(u, v, col(f.value, u) + rv * cv, col(g.value, u) + rv * sv, u[:, None])
 
-    def du(u, v):
+    def partials(u, v):
+        # r.d1 is evaluated first: where r = 0 its error is the one raised
         r1, (cv, sv) = col(r.d1, u), cos_sin(v)
-        return grid_vec(u, v, col(f.d1, u) + r1 * cv, col(g.d1, u) + r1 * sv, 1.0)
-
-    def dv(u, v):
-        rv, (cv, sv) = col(r.value, u), cos_sin(v)
-        return grid_vec(u, v, -rv * sv, rv * cv, 0.0)
-
-    def duu(u, v):
-        r2, (cv, sv) = col(r.d2, u), cos_sin(v)
-        return grid_vec(u, v, col(f.d2, u) + r2 * cv, col(g.d2, u) + r2 * sv, 0.0)
-
-    def duv(u, v):
-        r1, (cv, sv) = col(r.d1, u), cos_sin(v)
-        return grid_vec(u, v, -r1 * sv, r1 * cv, 0.0)
-
-    def dvv(u, v):
-        rv, (cv, sv) = col(r.value, u), cos_sin(v)
-        return grid_vec(u, v, -rv * cv, -rv * sv, 0.0)
+        rv, r2 = col(r.value, u), col(r.d2, u)
+        return (
+            grid_vec(u, v, col(f.d1, u) + r1 * cv, col(g.d1, u) + r1 * sv, 1.0),
+            grid_vec(u, v, -rv * sv, rv * cv, 0.0),
+            grid_vec(u, v, col(f.d2, u) + r2 * cv, col(g.d2, u) + r2 * sv, 0.0),
+            grid_vec(u, v, -r1 * sv, r1 * cv, 0.0),
+            grid_vec(u, v, -rv * cv, -rv * sv, 0.0),
+        )
 
     return SurfacePatch(
         u_range=spec.u_range,
         v_range=(0.0, 2 * math.pi),
-        position=pos, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv,
+        position=pos, partials=partials,
         name=f"cyclic-{spec.kind}",
     )
 

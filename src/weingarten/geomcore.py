@@ -25,12 +25,16 @@ Vec3Grid = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class SurfacePatch:
     """Surface patch on a rectangle, with analytic partials up to second order.
 
-    Each callable maps 1-D arrays ``us`` (n_u,) and ``vs`` (n_v,) to the
-    (n_u, n_v, 3) grid of vectors at every (us[i], vs[j]). It equals the
+    ``position(us, vs)`` maps 1-D arrays ``us`` (n_u,) and ``vs`` (n_v,) to
+    the (n_u, n_v, 3) grid of X at every (us[i], vs[j]); ``partials(us, vs)``
+    returns the tuple (X_u, X_v, X_uu, X_uv, X_vv) of such grids, so the
+    per-line data they share is computed once per call. Each grid equals the
     scalar expression point by point, bit for bit, when per-line work runs
-    once per u (or v) with scalar code, libm trigonometry included
-    (``cos_sin``; numpy's vector loops may round differently), and u-columns
-    meet v-rows by broadcasting in the scalar operation order, e.g.
+    once per u (or v) with the scalar operations: numpy ufuncs such as the
+    families' ``slope`` on (n, 1) u-columns (a numpy scalar and an array run
+    the same ufunc loops), ``math`` trigonometry on the axes (``cos_sin``;
+    numpy's vector loops may round differently from libm), and u-columns
+    meeting v-rows by broadcasting in the scalar operation order, e.g.
     ``(ct * tp)[:, None] * cos_v``; the engine's dot products keep their
     per-point BLAS calls (``_dot``). ``check_derivatives`` verifies the
     partials against central finite differences of ``position``.
@@ -39,11 +43,7 @@ class SurfacePatch:
     u_range: tuple[float, float]
     v_range: tuple[float, float]
     position: Vec3Grid
-    du: Vec3Grid
-    dv: Vec3Grid
-    duu: Vec3Grid
-    duv: Vec3Grid
-    dvv: Vec3Grid
+    partials: Callable[[np.ndarray, np.ndarray], tuple]
     name: str = ""
 
 
@@ -129,8 +129,7 @@ def _forms(patch: SurfacePatch, u_grid, v_grid, flip: bool, check_metric: bool):
     vs = np.asarray(v_grid, dtype=float)
     if us.ndim != 1 or vs.ndim != 1 or us.size == 0 or vs.size == 0:
         raise ValueError(f"u and v grids must be non-empty 1-D (got shapes {us.shape} and {vs.shape})")
-    xu = patch.du(us, vs)
-    xv = patch.dv(us, vs)
+    xu, xv, xuu, xuv, xvv = patch.partials(us, vs)
     n = np.cross(xu, xv)
     norm = np.sqrt(_dot(n, n))
     E, F, G = _dot(xu, xu), _dot(xu, xv), _dot(xv, xv)
@@ -146,7 +145,7 @@ def _forms(patch: SurfacePatch, u_grid, v_grid, flip: bool, check_metric: bool):
             )
         raise DegeneratePointError(f"EG - F^2 = {float(W[i, j])} <= 0 at ({u}, {v})")
     n = (-n if flip else n) / norm[..., None]
-    e, f, g = _dot(patch.duu(us, vs), n), _dot(patch.duv(us, vs), n), _dot(patch.dvv(us, vs), n)
+    e, f, g = _dot(xuu, n), _dot(xuv, n), _dot(xvv, n)
     return us, vs, (E, F, G, e, f, g), W
 
 
@@ -200,7 +199,7 @@ class CurvatureField:
 
 def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = False) -> CurvatureField:
     """Forms and curvatures at every (u, v) of two non-empty 1-D grids, u
-    outer; each partial is evaluated once. ValueError on an empty grid."""
+    outer; ``partials`` is called once. ValueError on an empty grid."""
     us, vs, forms, W = _forms(patch, u_grid, v_grid, flip_normal, check_metric=True)
     columns = [c.ravel() for c in (*forms, *_curvatures(forms, W))]
     return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns, flipped_normal=flip_normal)
@@ -221,21 +220,23 @@ def weingarten_residual(
 
 def finite_difference_patch(position: Vec3Grid, u_range, v_range, step: float = 1e-4) -> SurfacePatch:
     """Independent oracle: a patch whose partials are central finite
-    differences of ``position``. Keeps the analytic and numeric derivative
-    routes separate."""
+    differences of ``position``, the centre and the four axis shifts shared.
+    Keeps the analytic and numeric derivative routes separate."""
     h = step
     p = position
-    return SurfacePatch(
-        u_range=tuple(u_range),
-        v_range=tuple(v_range),
-        position=p,
-        du=lambda u, v: (p(u + h, v) - p(u - h, v)) / (2 * h),
-        dv=lambda u, v: (p(u, v + h) - p(u, v - h)) / (2 * h),
-        duu=lambda u, v: (p(u + h, v) - 2 * p(u, v) + p(u - h, v)) / (h * h),
-        dvv=lambda u, v: (p(u, v + h) - 2 * p(u, v) + p(u, v - h)) / (h * h),
-        duv=lambda u, v: (p(u + h, v + h) - p(u + h, v - h) - p(u - h, v + h) + p(u - h, v - h)) / (4 * h * h),
-        name="fd-oracle",
-    )
+
+    def partials(u, v):
+        c, up, um, vp, vm = p(u, v), p(u + h, v), p(u - h, v), p(u, v + h), p(u, v - h)
+        return (
+            (up - um) / (2 * h),
+            (vp - vm) / (2 * h),
+            (up - 2 * c + um) / (h * h),
+            (p(u + h, v + h) - p(u + h, v - h) - p(u - h, v + h) + p(u - h, v - h)) / (4 * h * h),
+            (vp - 2 * c + vm) / (h * h),
+        )
+
+    return SurfacePatch(u_range=tuple(u_range), v_range=tuple(v_range), position=p, partials=partials,
+                        name="fd-oracle")
 
 
 def check_derivatives(patch: SurfacePatch, n_u: int = 5, n_v: int = 5, step: float = 1e-4, rtol: float = 1e-6) -> float:
@@ -249,11 +250,10 @@ def check_derivatives(patch: SurfacePatch, n_u: int = 5, n_v: int = 5, step: flo
     margin_v = max(2 * step, 1e-3 * (v1 - v0))
     us = np.linspace(u0 + margin_u, u1 - margin_u, n_u)
     vs = np.linspace(v0 + margin_v, v1 - margin_v, n_v)
-    names = ("du", "dv", "duu", "duv", "dvv")
-    dev = np.empty((len(us), len(vs), len(names)))  # row-major is the (u, v, partial) check order
-    for k, name in enumerate(names):
-        a = getattr(patch, name)(us, vs)
-        dev[..., k] = np.max(np.abs(a - getattr(fd, name)(us, vs)), axis=-1) / np.maximum(1.0, np.max(np.abs(a), axis=-1))
+    names = ("X_u", "X_v", "X_uu", "X_uv", "X_vv")
+    # row-major over (u, v, partial) is the check order
+    dev = np.stack([np.max(np.abs(a - b), axis=-1) / np.maximum(1.0, np.max(np.abs(a), axis=-1))
+                    for a, b in zip(patch.partials(us, vs), fd.partials(us, vs))], axis=-1)
     bad = dev > rtol
     if bad.any():
         i, j, k = np.unravel_index(np.argmax(bad), bad.shape)

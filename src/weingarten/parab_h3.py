@@ -224,9 +224,17 @@ def integrate_parabolic(
     # The turning dichotomy: theta' never changes sign unless it vanishes
     # identically (straight line). At an ideal-boundary endpoint both the
     # numerator and z vanish, so theta' -> 0 there and roundoff can wiggle
-    # its sign in the terminal layer; the check covers the open interior.
-    _, _, z, _, tp, _, _ = profile.sample(500)
-    interior = z > 100 * z_floor if cause == "z_floor" else np.ones_like(z, dtype=bool)
+    # its sign in the terminal layer. At a denominator stop the event root
+    # can sit inside the last step, so the end state may have crossed
+    # a + 2b cos(theta) = 0, where theta' has blown up with the other sign.
+    # The check covers the open interior.
+    _, _, z, _, tp, _, ct = profile.sample(500)
+    if cause == "z_floor":
+        interior = z > 100 * z_floor
+    elif cause == "denominator":
+        interior = np.abs(a + 2 * b * ct) > 100 * den_floor
+    else:
+        interior = np.ones_like(z, dtype=bool)
     tp0 = initial_slope(a, b, z0)
     if tp0 != 0.0 and np.any(tp[interior] * np.sign(tp0) < -1e-12):
         raise OutOfScopeParamsError(
@@ -586,25 +594,22 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0), n_check: int = 4
         x, z_, _, _, _ = profile_columns(traj(s))
         return grid_vec(s, t, x, t, z_)
 
-    def d_s(s, t):
-        _, _, _, ct, st = profile_columns(traj(s))
-        return grid_vec(s, t, ct, 0.0, st)
-
-    def d_t(s, t):
-        return grid_vec(s, t, 0.0, 1.0, 0.0)
-
-    def d_ss(s, t):
+    def partials(s, t):
         _, z_, th, ct, st = profile_columns(traj(s))
-        tp_ = np.array([[slope(a, b, zz, tt)] for (zz,), (tt,) in zip(z_, th)])
-        return grid_vec(s, t, -st * tp_, 0.0, ct * tp_)
-
-    zero = lambda s, t: grid_vec(s, t, 0.0, 0.0, 0.0)
+        tp_ = slope(a, b, z_, th)
+        zero = grid_vec(s, t, 0.0, 0.0, 0.0)
+        return (
+            grid_vec(s, t, ct, 0.0, st),
+            grid_vec(s, t, 0.0, 1.0, 0.0),
+            grid_vec(s, t, -st * tp_, 0.0, ct * tp_),
+            zero,
+            zero,
+        )
 
     patch = SurfacePatch(
         u_range=(0.0, profile.s_max),
         v_range=tuple(t_range),
-        position=pos, du=d_s, dv=d_t, duu=d_ss, duv=zero, dvv=zero,
-        name="parabolic-invariant",
+        position=pos, partials=partials, name="parabolic-invariant",
     )
     return ParabolicPatch(patch=patch, profile=profile, relation_residual_max=residual)
 

@@ -579,32 +579,21 @@ def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
         (x, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
         return grid_vec(s, phi, x, z * cp, z * sp)
 
-    def d_s(s, phi):
-        (_, _, _, ct, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
-        return grid_vec(s, phi, ct, st * cp, st * sp)
-
-    def d_phi(s, phi):
-        (_, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
-        return grid_vec(s, phi, 0.0, -z * sp, z * cp)
-
-    def d_ss(s, phi):
+    def partials(s, phi):
         (_, z, th, ct, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
-        tp = np.array([[slope(p, z_, th_)] for (z_,), (th_,) in zip(z, th)])
-        return grid_vec(s, phi, -st * tp, ct * tp * cp, ct * tp * sp)
-
-    def d_sphi(s, phi):
-        (_, _, _, _, st), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
-        return grid_vec(s, phi, 0.0, -st * sp, st * cp)
-
-    def d_phiphi(s, phi):
-        (_, z, _, _, _), (cp, sp) = profile_columns(traj(s)), cos_sin(phi)
-        return grid_vec(s, phi, 0.0, -z * cp, -z * sp)
+        tp = slope(p, z, th)
+        return (
+            grid_vec(s, phi, ct, st * cp, st * sp),
+            grid_vec(s, phi, 0.0, -z * sp, z * cp),
+            grid_vec(s, phi, -st * tp, ct * tp * cp, ct * tp * sp),
+            grid_vec(s, phi, 0.0, -st * sp, st * cp),
+            grid_vec(s, phi, 0.0, -z * cp, -z * sp),
+        )
 
     return SurfacePatch(
         u_range=(0.0, profile.s_end),
         v_range=(0.0, 2 * math.pi),
-        position=pos, du=d_s, dv=d_phi, duu=d_ss, duv=d_sphi, dvv=d_phiphi,
-        name="revolved-profile",
+        position=pos, partials=partials, name="revolved-profile",
     )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from weingarten import cli
+from weingarten import cli, meshes, rot_r3
+from weingarten.geomcore import WeingartenParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
@@ -88,6 +90,29 @@ def test_mesh_export_rot_and_parab(tmp_path):
                 "--z0", "1", "--s-samples", "12", "--phi-samples", "6",
                 "--obj-name", "parab.obj", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "parab.obj").exists()
+
+
+@pytest.mark.parametrize("surface, extra, wraps", [
+    ("rot", ["--a", "2", "--b", "-2", "--z0", "3"], True),
+    ("parab", ["--a", "0.5", "--b", "-1", "--z0", "1"], False),
+    ("sphere", [], True),
+    ("cone", ["--r1", "0.5"], True),
+    ("riemann", ["--lam", "1", "--r0p", "0.1"], True),
+])
+def test_mesh_export_closes_only_the_closed_surfaces(tmp_path, surface, extra, wraps):
+    assert run(["mesh", "export", "--surface", surface, *extra, "--s-samples", "7", "--phi-samples", "5",
+                "--out", str(tmp_path)]) == 0
+    faces = [ln for ln in (tmp_path / "surface.obj").read_text().splitlines() if ln.startswith("f ")]
+    assert len(faces) == 6 * (5 if wraps else 4)
+
+
+def test_mesh_export_rot_equals_revolved_mesh(tmp_path):
+    assert run(["mesh", "export", "--surface", "rot", "--a", "2", "--b", "-2", "--z0", "3",
+                "--s-samples", "20", "--phi-samples", "8", "--out", str(tmp_path)]) == 0
+    profile = rot_r3.integrate_profile(WeingartenParams(2, -2, 1), 3.0, n_periods=1, tol=1e-10)
+    surf = rot_r3.revolve(profile, phi_samples=8, s_samples=20, check=False)
+    meshes.write_obj(tmp_path / "revolved.obj", surf.vertices, surf.faces)
+    assert (tmp_path / "surface.obj").read_bytes() == (tmp_path / "revolved.obj").read_bytes()
 
 
 def test_nonfinite_numeric_input_rejected(tmp_path):
@@ -227,8 +252,8 @@ def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -254,3 +279,15 @@ def test_seeded_digest_smoke():
     assert [line.split()[:3] for line in lines] == [[name, "seed=1", f"items={n}"] for name, n in items.items()]
     assert all(len(line.split()[3]) == 64 for line in lines)
     assert list(tool.digest_lines(seeds=[1], items=items)) == lines
+
+
+def test_traced_layers_resolve_in_the_library():
+    # The benchmark's layer tracer (``wbench/run.py --trace 1``) wraps these
+    # functions by name; each must still exist where the tracer looks.
+    layertrace = _load_tool("layertrace", folder="wbench")
+    assert layertrace.TRACED
+    for name in layertrace.TRACED:
+        module, attr = name.split(".")
+        lib = importlib.import_module(f"weingarten.{module}")
+        target = lib.Trajectory.__call__ if name == "odekit.dense_eval" else getattr(lib, attr, None)
+        assert callable(target), name

@@ -146,6 +146,26 @@ def test_sphere_coefficients_vanish():
     assert tc.max_abs < 1e-8
 
 
+def test_zero_radius_raises_from_the_radius_derivative():
+    # At the pole of a sphere slice r = 0: the partials evaluate r' = -u/r
+    # before anything else, so its ZeroDivisionError is what a curvature
+    # query there raises.
+    spec = sphere_slice(1.0, u_range=(-1.0, 1.0))
+    called = []
+
+    def logged(name, fn):
+        def wrapper(u):
+            called.append(name)
+            return fn(u)
+        return wrapper
+
+    r = spec.radius
+    radius = CurveFunc(logged("value", r.value), logged("d1", r.d1), logged("d2", r.d2))
+    with pytest.raises(ZeroDivisionError):
+        geomcore.curvature_field(cyclic_patch(dataclasses.replace(spec, radius=radius)), [1.0], [0.0, 1.0])
+    assert called == ["d1"]
+
+
 def test_sphere_radius_two_coefficients_vanish():
     spec = sphere_slice(2.0)
     tc = trig_coefficients(spec, WeingartenParams(2, 0, 1), u=0.5)

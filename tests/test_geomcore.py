@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +27,13 @@ def on_grid(fn):
     return grid
 
 
+def on_grid_partials(*fns):
+    """Lift the five expressions of X_u, X_v, X_uu, X_uv and X_vv, each as
+    for ``on_grid``, to the ``partials`` contract of SurfacePatch."""
+    grids = [on_grid(fn) for fn in fns]
+    return lambda us, vs: tuple(grid(us, vs) for grid in grids)
+
+
 def sphere_patch(radius=1.0):
     R = radius
     sin, cos = np.sin, np.cos
@@ -32,11 +41,13 @@ def sphere_patch(radius=1.0):
         u_range=(0.3, math.pi - 0.3),
         v_range=(0.0, 2 * math.pi),
         position=on_grid(lambda u, v: [R * sin(u) * cos(v), R * sin(u) * sin(v), R * cos(u)]),
-        du=on_grid(lambda u, v: [R * cos(u) * cos(v), R * cos(u) * sin(v), -R * sin(u)]),
-        dv=on_grid(lambda u, v: [-R * sin(u) * sin(v), R * sin(u) * cos(v), 0.0]),
-        duu=on_grid(lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), -R * cos(u)]),
-        duv=on_grid(lambda u, v: [-R * cos(u) * sin(v), R * cos(u) * cos(v), 0.0]),
-        dvv=on_grid(lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), 0.0]),
+        partials=on_grid_partials(
+            lambda u, v: [R * cos(u) * cos(v), R * cos(u) * sin(v), -R * sin(u)],
+            lambda u, v: [-R * sin(u) * sin(v), R * sin(u) * cos(v), 0.0],
+            lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), -R * cos(u)],
+            lambda u, v: [-R * cos(u) * sin(v), R * cos(u) * cos(v), 0.0],
+            lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), 0.0],
+        ),
         name="sphere",
     )
 
@@ -47,11 +58,13 @@ def cylinder_patch(radius=2.0):
         u_range=(-1.0, 1.0),
         v_range=(0.0, 2 * math.pi),
         position=on_grid(lambda u, v: [u, r * np.cos(v), r * np.sin(v)]),
-        du=on_grid(lambda u, v: [1.0, 0.0, 0.0]),
-        dv=on_grid(lambda u, v: [0.0, -r * np.sin(v), r * np.cos(v)]),
-        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        dvv=on_grid(lambda u, v: [0.0, -r * np.cos(v), -r * np.sin(v)]),
+        partials=on_grid_partials(
+            lambda u, v: [1.0, 0.0, 0.0],
+            lambda u, v: [0.0, -r * np.sin(v), r * np.cos(v)],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, -r * np.cos(v), -r * np.sin(v)],
+        ),
         name="cylinder",
     )
 
@@ -61,11 +74,13 @@ def plane_patch():
         u_range=(-1.0, 1.0),
         v_range=(-1.0, 1.0),
         position=on_grid(lambda u, v: [u, v, 0.0]),
-        du=on_grid(lambda u, v: [1.0, 0.0, 0.0]),
-        dv=on_grid(lambda u, v: [0.0, 1.0, 0.0]),
-        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        partials=on_grid_partials(
+            lambda u, v: [1.0, 0.0, 0.0],
+            lambda u, v: [0.0, 1.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+        ),
         name="plane",
     )
 
@@ -78,11 +93,13 @@ def catenoid_patch():
         u_range=(-1.0, 1.0),
         v_range=(0.0, 2 * math.pi),
         position=on_grid(lambda u, v: [u, ch(u) * np.cos(v), ch(u) * np.sin(v)]),
-        du=on_grid(lambda u, v: [1.0, sh(u) * np.cos(v), sh(u) * np.sin(v)]),
-        dv=on_grid(lambda u, v: [0.0, -ch(u) * np.sin(v), ch(u) * np.cos(v)]),
-        duu=on_grid(lambda u, v: [0.0, ch(u) * np.cos(v), ch(u) * np.sin(v)]),
-        duv=on_grid(lambda u, v: [0.0, -sh(u) * np.sin(v), sh(u) * np.cos(v)]),
-        dvv=on_grid(lambda u, v: [0.0, -ch(u) * np.cos(v), -ch(u) * np.sin(v)]),
+        partials=on_grid_partials(
+            lambda u, v: [1.0, sh(u) * np.cos(v), sh(u) * np.sin(v)],
+            lambda u, v: [0.0, -ch(u) * np.sin(v), ch(u) * np.cos(v)],
+            lambda u, v: [0.0, ch(u) * np.cos(v), ch(u) * np.sin(v)],
+            lambda u, v: [0.0, -sh(u) * np.sin(v), sh(u) * np.cos(v)],
+            lambda u, v: [0.0, -ch(u) * np.cos(v), -ch(u) * np.sin(v)],
+        ),
         name="catenoid",
     )
 
@@ -174,15 +191,15 @@ def test_finite_difference_oracle_matches_analytic():
 def test_reparametrization_invariance():
     base = sphere_patch(1.0)
     k = 2.5  # rescale u by a constant factor
+
+    def rescaled(xu, xv, xuu, xuv, xvv):
+        return k * xu, xv, k * k * xuu, k * xuv, xvv
+
     patch = SurfacePatch(
         u_range=(base.u_range[0] / k, base.u_range[1] / k),
         v_range=base.v_range,
         position=lambda u, v: base.position(k * u, v),
-        du=lambda u, v: k * base.du(k * u, v),
-        dv=lambda u, v: base.dv(k * u, v),
-        duu=lambda u, v: k * k * base.duu(k * u, v),
-        duv=lambda u, v: k * base.duv(k * u, v),
-        dvv=lambda u, v: base.dvv(k * u, v),
+        partials=lambda u, v: rescaled(*base.partials(k * u, v)),
     )
     for u, v in [(0.5, 1.0), (0.9, 4.0)]:
         ca = curvatures(base, k * u, v)
@@ -201,14 +218,23 @@ def test_check_derivatives_rejects_wrong_partial():
         u_range=bad.u_range,
         v_range=bad.v_range,
         position=bad.position,
-        du=lambda u, v: 1.05 * bad.du(u, v),
-        dv=bad.dv,
-        duu=bad.duu,
-        duv=bad.duv,
-        dvv=bad.dvv,
+        partials=lambda u, v: (1.05 * bad.partials(u, v)[0], *bad.partials(u, v)[1:]),
     )
     with pytest.raises(ValueError):
         check_derivatives(broken)
+
+
+@pytest.mark.parametrize("k, name", enumerate(["X_u", "X_v", "X_uu", "X_uv", "X_vv"]))
+def test_check_derivatives_names_the_wrong_partial(k, name):
+    good = sphere_patch()
+
+    def partials(u, v):
+        out = list(good.partials(u, v))
+        out[k] = out[k] + 1e-3
+        return tuple(out)
+
+    with pytest.raises(ValueError, match=f"analytic {name} deviates"):
+        check_derivatives(dataclasses.replace(good, partials=partials))
 
 
 def test_weingarten_residual_sphere():
@@ -242,11 +268,13 @@ def test_degenerate_point_raises():
         u_range=(-1, 1),
         v_range=(-1, 1),
         position=on_grid(lambda u, v: [u, u, 0.0]),
-        du=on_grid(lambda u, v: [1.0, 1.0, 0.0]),
-        dv=on_grid(lambda u, v: [1.0, 1.0, 0.0]),  # parallel to du
-        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        partials=on_grid_partials(
+            lambda u, v: [1.0, 1.0, 0.0],
+            lambda u, v: [1.0, 1.0, 0.0],  # parallel to X_u
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+        ),
     )
     with pytest.raises(DegeneratePointError):
         fundamental_forms(degenerate, 0.0, 0.0)
@@ -259,11 +287,13 @@ def test_rounded_singular_metric_raises_degenerate_point():
         u_range=(-1, 1),
         v_range=(-1, 1),
         position=on_grid(lambda u, v: [1e8 * (u + v), 1e-8 * v, 0.0]),
-        du=on_grid(lambda u, v: [1e8, 0.0, 0.0]),
-        dv=on_grid(lambda u, v: [1e8, 1e-8, 0.0]),
-        duu=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        duv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
-        dvv=on_grid(lambda u, v: [0.0, 0.0, 0.0]),
+        partials=on_grid_partials(
+            lambda u, v: [1e8, 0.0, 0.0],
+            lambda u, v: [1e8, 1e-8, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+            lambda u, v: [0.0, 0.0, 0.0],
+        ),
     )
     with pytest.raises(DegeneratePointError):
         curvatures(sheared, 0.0, 0.0)
@@ -301,15 +331,12 @@ def reference_point(patch, u, v, flip=False):
     """Forms and curvatures at one point, computed as the per-point engine
     did: np.cross, @ and np.linalg.norm on length-3 vectors, then the scalar
     H/K formula in Python floats."""
-    def at(fn):
-        return fn(np.array([u]), np.array([v]))[0, 0]
-
-    xu, xv = at(patch.du), at(patch.dv)
+    xu, xv, xuu, xuv, xvv = (d[0, 0] for d in patch.partials(np.array([u]), np.array([v])))
     n = np.cross(xu, xv)
     norm = float(np.linalg.norm(n))
     n = -n / norm if flip else n / norm
     E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
-    e, f, g = float(at(patch.duu) @ n), float(at(patch.duv) @ n), float(at(patch.dvv) @ n)
+    e, f, g = float(xuu @ n), float(xuv @ n), float(xvv @ n)
     W = E * G - F * F
     H = (e * G - 2 * f * F + g * E) / (2 * W)
     K = (e * g - f * f) / W
@@ -342,19 +369,20 @@ def test_empty_grid_is_refused(u_grid, v_grid):
         weingarten_residual(sphere_patch(), WeingartenParams(2, 0, 2), u_grid, v_grid)
 
 
-# du = (1e8, 0, 0) everywhere; dv picks one of three cases per (u, v).
+# X_u = (1e8, 0, 0) everywhere; X_v picks one of three cases per (u, v).
 REGULAR = [0.0, 1.0, 0.0]
 SINGULAR_METRIC = [1e8, 1e-8, 0.0]  # |X_u x X_v| = 1, but EG - F^2 rounds to 0
 PARALLEL = [1e8, 0.0, 0.0]          # X_u x X_v = 0 and EG - F^2 = 0
 
 
 def _table_patch(table):
-    def dv(us, vs):
+    def xv(us, vs):
         return np.array([[table.get((u, v), REGULAR) for v in vs.tolist()] for u in us.tolist()])
 
     zero = on_grid(lambda u, v: [0.0, 0.0, 0.0])
+    xu = on_grid(lambda u, v: [1e8, 0.0, 0.0])
     return SurfacePatch(u_range=(0, 1), v_range=(0, 1), position=zero,
-                        du=on_grid(lambda u, v: [1e8, 0.0, 0.0]), dv=dv, duu=zero, duv=zero, dvv=zero)
+                        partials=lambda us, vs: (xu(us, vs), xv(us, vs), *(zero(us, vs) for _ in range(3))))
 
 
 def test_degeneracy_errors_follow_row_major_order():
@@ -380,3 +408,26 @@ def test_nan_does_not_raise():
     patch = _table_patch({(0.0, 1.0): [math.nan, 1.0, 0.0]})
     field = curvature_field(patch, [0.0, 1.0], [0.0, 1.0])
     assert np.isnan(field.H[1]) and not np.isnan(field.H[[0, 2, 3]]).any()
+
+
+def test_curvature_field_calls_partials_once_and_never_position(paper_patches):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(us, vs):
+            calls[key] += 1
+            return fn(us, vs)
+        return wrapper
+
+    for name, patch in paper_patches.items():
+        counting = dataclasses.replace(patch, position=counted("position", patch.position),
+                                       partials=counted("partials", patch.partials))
+        us = np.linspace(*patch.u_range, 7)
+        vs = np.linspace(*patch.v_range, 5, endpoint=False)
+        calls.clear()
+        curvature_field(counting, us, vs)
+        assert calls == {"partials": 1}, name
+        weingarten_residual(counting, WeingartenParams(1, 0, 0), us, vs)
+        curvatures(counting, float(us[3]), float(vs[2]))
+        fundamental_forms(counting, float(us[3]), float(vs[2]))
+        assert calls == {"partials": 4}, name

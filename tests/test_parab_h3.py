@@ -60,6 +60,41 @@ def test_refuses_start_whose_first_step_underflows():
     assert integrate_parabolic(0.5, -1.0, 1e-7).s_max > 0
 
 
+def test_denominator_stop_past_the_pole_is_not_a_sign_change():
+    # An admissible IncompleteGraph pair whose denominator event root sits
+    # inside a step of about 1e-12: the end state has crossed
+    # a + 2b cos(theta) = 0, so the last sample's theta' has blown up with
+    # the other sign. The benchmark's parab_classify workload draws it as
+    # item 1 of seed 12.
+    a, b, z0 = 0.1638061218040114, -0.7756117805076038, 0.6832817126915248
+    profile = integrate_parabolic(a, b, z0)
+    assert profile.cause == "denominator"
+    _, _, _, _, tp, _, _ = profile.sample(500)
+    assert tp[0] < 0 < tp[-1]
+    cls = classify(a, b, z0)
+    assert cls.label == CASE_INCOMPLETE_GRAPH and cls.corroborated
+    assert all(parab_h3.profile_report(profile)["verdicts"].values())
+
+
+@pytest.mark.parametrize("b", [-1.0, -0.8, -0.2, 0.3])
+def test_turning_dichotomy_refuses_a_sign_change(b, monkeypatch):
+    # theta' flipped on the middle third of the samples, away from every
+    # terminal layer, must be refused whatever ended the run.
+    slope = parab_h3.slope
+
+    def flipped(*args):
+        tp = slope(*args)
+        if np.ndim(tp) == 0:
+            return tp
+        middle = np.arange(len(tp)) // (len(tp) // 3 + 1) == 1
+        return np.where(middle, -tp, tp)
+
+    integrate_parabolic(0.5, b, Z0)
+    monkeypatch.setattr(parab_h3, "slope", flipped)
+    with pytest.raises(OutOfScopeParamsError, match="changed sign"):
+        integrate_parabolic(0.5, b, Z0)
+
+
 def test_rejects_vanishing_initial_denominator():
     with pytest.raises(OutOfScopeParamsError):
         integrate_parabolic(0.5, -0.25, 1.0)

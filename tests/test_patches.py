@@ -1,6 +1,6 @@
-"""The grid patches of the three families against the per-point closures
-they replace, kept here as the reference: every partial must be
-bit-identical to the stack of scalar evaluations."""
+"""The grid patches of the three families against per-point closures, kept
+here as the reference: the position and every entry of the partials tuple
+must be bit-identical to the stack of scalar evaluations."""
 
 import math
 
@@ -38,7 +38,7 @@ def scalar_rot(profile):
         _, z, _ = traj(s)
         return np.array([0.0, -z * math.cos(phi), -z * math.sin(phi)])
 
-    return dict(position=pos, du=d_s, dv=d_phi, duu=d_ss, duv=d_sphi, dvv=d_phiphi)
+    return pos, (d_s, d_phi, d_ss, d_sphi, d_phiphi)
 
 
 def scalar_parab(profile):
@@ -58,7 +58,7 @@ def scalar_parab(profile):
         return np.array([-math.sin(th) * tp_, 0.0, math.cos(th) * tp_])
 
     zero = lambda s, t: np.zeros(3)
-    return dict(position=pos, du=d_s, dv=lambda s, t: np.array([0.0, 1.0, 0.0]), duu=d_ss, duv=zero, dvv=zero)
+    return pos, (d_s, lambda s, t: np.array([0.0, 1.0, 0.0]), d_ss, zero, zero)
 
 
 def scalar_cyclic(spec):
@@ -68,27 +68,27 @@ def scalar_cyclic(spec):
         rv = r.value(u)
         return np.array([f.value(u) + rv * math.cos(v), g.value(u) + rv * math.sin(v), u])
 
-    def du(u, v):
+    def d_u(u, v):
         r1 = r.d1(u)
         return np.array([f.d1(u) + r1 * math.cos(v), g.d1(u) + r1 * math.sin(v), 1.0])
 
-    def dv(u, v):
+    def d_v(u, v):
         rv = r.value(u)
         return np.array([-rv * math.sin(v), rv * math.cos(v), 0.0])
 
-    def duu(u, v):
+    def d_uu(u, v):
         r2 = r.d2(u)
         return np.array([f.d2(u) + r2 * math.cos(v), g.d2(u) + r2 * math.sin(v), 0.0])
 
-    def duv(u, v):
+    def d_uv(u, v):
         r1 = r.d1(u)
         return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
 
-    def dvv(u, v):
+    def d_vv(u, v):
         rv = r.value(u)
         return np.array([-rv * math.cos(v), -rv * math.sin(v), 0.0])
 
-    return dict(position=pos, du=du, dv=dv, duu=duu, duv=duv, dvv=dvv)
+    return pos, (d_u, d_v, d_uu, d_uv, d_vv)
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +100,18 @@ def references(fig3_profile, parab_figure_profiles, cyclic_specs):
     }
 
 
+PARTIAL_NAMES = ("X_u", "X_v", "X_uu", "X_uv", "X_vv")
+
+
 def test_grid_partials_equal_scalar_closures(paper_patches, references):
     for name, patch in paper_patches.items():
         us = np.linspace(*patch.u_range, 17)
         vs = np.linspace(*patch.v_range, 11)
-        for partial, scalar in references[name].items():
-            want = np.array([[scalar(u, v) for v in vs.tolist()] for u in us.tolist()])
-            assert np.array_equal(getattr(patch, partial)(us, vs), want), (name, partial)
+
+        def stacked(scalar):
+            return np.array([[scalar(u, v) for v in vs.tolist()] for u in us.tolist()])
+
+        position, partials = references[name]
+        assert np.array_equal(patch.position(us, vs), stacked(position)), (name, "position")
+        for partial, got, scalar in zip(PARTIAL_NAMES, patch.partials(us, vs), partials, strict=True):
+            assert np.array_equal(got, stacked(scalar)), (name, partial)

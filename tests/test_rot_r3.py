@@ -270,11 +270,13 @@ def test_revolve_cylinder_limit():
         u_range=(0.0, 1.0),
         v_range=(0.0, 2 * math.pi),
         position=lambda s, p: grid_vec(s, p, s[:, None], z0 * np.cos(p), z0 * np.sin(p)),
-        du=lambda s, p: grid_vec(s, p, 1.0, 0.0, 0.0),
-        dv=lambda s, p: grid_vec(s, p, 0.0, -z0 * np.sin(p), z0 * np.cos(p)),
-        duu=lambda s, p: grid_vec(s, p, 0.0, 0.0, 0.0),
-        duv=lambda s, p: grid_vec(s, p, 0.0, 0.0, 0.0),
-        dvv=lambda s, p: grid_vec(s, p, 0.0, -z0 * np.cos(p), -z0 * np.sin(p)),
+        partials=lambda s, p: (
+            grid_vec(s, p, 1.0, 0.0, 0.0),
+            grid_vec(s, p, 0.0, -z0 * np.sin(p), z0 * np.cos(p)),
+            grid_vec(s, p, 0.0, 0.0, 0.0),
+            grid_vec(s, p, 0.0, 0.0, 0.0),
+            grid_vec(s, p, 0.0, -z0 * np.cos(p), -z0 * np.sin(p)),
+        ),
     )
     for s in (0.1, 0.5, 0.9):
         assert abs(geomcore.curvatures(patch, s, 1.0).K) < 1e-14
