@@ -71,8 +71,8 @@ def cmd_rot_integrate(args) -> int:
     report = rot_r3.report(profile)
     _write_json(out / "rot_report.json", report)
     if args.obj:
-        surf = rot_r3.revolve(profile, phi_samples=args.phi_samples, check=False)
-        meshes.write_obj(out / "rot_surface.obj", surf.vertices, surf.faces)
+        verts, faces = meshes.sample_grid_mesh(rot_r3.profile_patch(profile), 200, args.phi_samples, wrap_v=True)
+        meshes.write_obj(out / "rot_surface.obj", verts, faces)
     return _verdict_exit(all(report["verdicts"].values()))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geomcore
 from .csvio import write_csv
-from .errors import NonPositiveRadiusError, StepUnderflowError
+from .errors import NonPositiveRadiusError
 from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec
 from .odekit import IvpSpec, integrate
 
@@ -71,23 +71,6 @@ class CyclicSurfaceSpec:
                 f"radius reaches {np.min(r):.6g} <= 0 on {self.u_range}"
             )
 
-    def check_derivatives(self, n: int = 9, step: float = 1e-4, rtol: float = 1e-6) -> float:
-        """Derivative fields must agree with central finite differences."""
-        u0, u1 = self.u_range
-        margin = max(2 * step, 1e-3 * (u1 - u0))
-        worst = 0.0
-        for cf in (self.center_x, self.center_y, self.radius):
-            for u in np.linspace(u0 + margin, u1 - margin, n):
-                fd1 = (cf.value(u + step) - cf.value(u - step)) / (2 * step)
-                fd2 = (cf.value(u + step) - 2 * cf.value(u) + cf.value(u - step)) / step**2
-                d1 = cf.d1(u)
-                d2 = cf.d2(u)
-                dev = max(abs(d1 - fd1) / max(1.0, abs(d1)), abs(d2 - fd2) / max(1.0, abs(d2)))
-                worst = max(worst, dev)
-                if dev > rtol:
-                    raise ValueError(f"derivative fields inconsistent at u={u}: dev={dev:.2e}")
-        return worst
-
 
 def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
     """Assemble the parametrized patch with analytic partials. Regularity
@@ -134,7 +117,6 @@ class RiemannSpec(CyclicSurfaceSpec):
     mu: float = 0.0
     r0: float = 1.0
     r0_prime: float = 0.0
-    truncated: bool = False
 
 
 def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
@@ -170,16 +152,9 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     if u_lo > 0 or u_hi < 0:
         raise ValueError("u_range must contain 0 (initial data is centered there)")
 
-    truncated = False
-    spec_kw = dict(rhs=rhs, s0=0.0, y0=y0, rtol=tol, atol=tol * 1e-2)
-    try:
-        fwd = integrate(IvpSpec(**spec_kw), u_hi, guard=guard) if u_hi > 0 else None
-    except StepUnderflowError as exc:
-        fwd, truncated = exc.trajectory, True
-    try:
-        bwd = integrate(IvpSpec(**spec_kw), u_lo, guard=guard) if u_lo < 0 else None
-    except StepUnderflowError as exc:
-        bwd, truncated = exc.trajectory, True
+    spec = IvpSpec(rhs=rhs, s0=0.0, y0=y0, rtol=tol, atol=tol * 1e-2)
+    fwd = integrate(spec, u_hi, guard=guard) if u_hi > 0 else None
+    bwd = integrate(spec, u_lo, guard=guard) if u_lo < 0 else None
 
     lo = bwd.s_end if bwd is not None else 0.0
     hi = fwd.s_end if fwd is not None else 0.0
@@ -209,7 +184,7 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
         u_range=(float(lo), float(hi)),
         center_x=center_field(lam, 0), center_y=center_field(mu, 1), radius=r,
         kind="minimal-cyclic",
-        lam=lam, mu=mu, r0=r0, r0_prime=r0_prime, truncated=truncated,
+        lam=lam, mu=mu, r0=r0, r0_prime=r0_prime,
     )
 
 
@@ -250,13 +225,17 @@ def generalized_cone(f0: float, f1: float, g0: float, g1: float,
 
 
 def sphere_slice(radius: float = 1.0, u_range=None) -> CyclicSurfaceSpec:
-    """A round sphere sliced by parallel planes: r(u) = sqrt(R^2 - u^2)."""
+    """A round sphere sliced by parallel planes: r(u) = sqrt(R^2 - u^2).
+    The radius functions raise NonPositiveRadiusError for |u| >= R."""
     R = float(radius)
     if u_range is None:
         u_range = (-0.7 * R, 0.7 * R)
 
     def r(u):
-        return math.sqrt(R * R - u * u)
+        r2 = R * R - u * u
+        if not r2 > 0:
+            raise NonPositiveRadiusError(f"sphere slice of radius {R} has no circle at u = {u}")
+        return math.sqrt(r2)
 
     return CyclicSurfaceSpec(
         u_range=(float(u_range[0]), float(u_range[1])),

@@ -1,6 +1,7 @@
 """First/second fundamental forms, mean/Gauss/principal curvatures of
-parametrized surface patches in Euclidean coordinates, and the linear
-Weingarten relation residual a*H + b*K - c.
+parametrized surface patches in Euclidean coordinates, the linear
+Weingarten relation residual a*H + b*K - c, and the arc-length profile
+system and mirror check shared by the profile-curve families.
 
 The normal convention is N = (X_u x X_v)/|X_u x X_v| throughout; callers that
 need the opposite geometric normal pass flip_normal=True. Principal
@@ -15,6 +16,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import DegeneratePointError
+from .odekit import IvpSpec
 
 DEGENERACY_EPS = 1e-12
 
@@ -66,6 +68,28 @@ def profile_columns(states) -> list:
     (n, 3) states (x, z, theta) of an arc-length profile curve."""
     x, z, th = np.asarray(states).T
     return [c[:, None] for c in (x, z, th, *cos_sin(th))]
+
+
+def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
+    """The arc-length profile system x' = cos(theta), z' = sin(theta),
+    theta' = theta_prime(z, cos(theta), sin(theta)) from (x, z, theta) =
+    (0, z0, 0), with relative tolerance ``tol`` and absolute tolerance
+    tol * 1e-2. The trigonometry is ``math``'s."""
+
+    def rhs(s, y):
+        _, z, th = y
+        ct = math.cos(th)
+        st = math.sin(th)
+        return np.array([ct, st, theta_prime(z, ct, st)])
+
+    return IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+
+
+def mirror_defects(forward, backward, s) -> np.ndarray:
+    """Per-component max over ``s`` of |y_b(-s) - R y_f(s)|, R = diag(-1, 1, -1):
+    how far the backward profile ``backward`` is from the mirror image about
+    x = 0 of the forward profile ``forward``."""
+    return np.max(np.abs(backward(-s) - forward(s) * np.array([-1.0, 1.0, -1.0])), axis=0)
 
 
 class FundamentalForms(NamedTuple):

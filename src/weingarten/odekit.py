@@ -6,12 +6,13 @@ interpolant. Everything is plain float arithmetic: identical inputs produce
 bit-identical trajectories.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoSignChangeError, RootNotConvergedError, StepUnderflowError
+from .errors import NoSignChangeError, RootNotConvergedError
+from .errors import StepUnderflowError  # noqa: F401 - wbench/layertrace.py reads it here
 
 # Dormand-Prince 5(4) tableau. The fifth-order solution is propagated; the
 # last stage is FSAL.
@@ -48,18 +49,19 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -0.2  # 1 / (error estimator order)
 
+# Stop reasons of a returned trajectory.
 REACHED_END = "reached_end"
 EVENT_STOP = "event"
 GUARD_STOP = "guard"
-UNDERFLOW = "step_underflow"  # only on partial trajectories carried by StepUnderflowError
+UNDERFLOW = "step_underflow"
 
 
 @dataclass(frozen=True)
 class Event:
-    """Scalar crossing monitor g(s, y) = 0.
+    """Scalar crossing monitor g(s, y) = 0; the integration stops at the
+    first crossing.
 
     direction: +1 counts only -/+ crossings, -1 only +/-, 0 both.
-    terminal: stop the integration at the crossing.
 
     g is compared only at the ends of each accepted step, so an even number
     of sign changes inside one step (g dipping across zero and back) goes
@@ -69,7 +71,6 @@ class Event:
 
     fn: Callable[[float, np.ndarray], float]
     direction: int = 0
-    terminal: bool = False
     name: str = ""
 
 
@@ -98,7 +99,6 @@ class IvpSpec:
 
 @dataclass(frozen=True)
 class EventHit:
-    index: int
     name: str
     s: float
     state: np.ndarray
@@ -109,16 +109,17 @@ class Trajectory:
     """Integration result with a piecewise-quartic dense output.
 
     The grid ``s`` is strictly monotone in the direction of integration, and
-    the interpolant reproduces the grid samples exactly at the knots.
+    the interpolant reproduces the grid samples exactly at the knots. Segment
+    i starts at knot i with state ``states[i]``; a one-knot run has one
+    constant segment at its only knot. ``event`` is the event that stopped
+    the run, if one did.
     """
 
     s: np.ndarray
     states: np.ndarray
     reason: str
-    events: list[EventHit] = field(default_factory=list)
-    _seg_s0: np.ndarray = None
+    event: Optional[EventHit] = None
     _seg_h: np.ndarray = None
-    _seg_y0: np.ndarray = None
     _seg_q: np.ndarray = None  # (n_seg, dim, 4)
 
     @property
@@ -135,10 +136,10 @@ class Trajectory:
         gives the clamped index directly: points before the first knot get 0,
         points beyond the last get n_seg - 1."""
         d = self.direction
-        return np.searchsorted(self._seg_s0[1:] * d, s * d, side="right")
+        return np.searchsorted(self.s[1:-1] * d, s * d, side="right")
 
     def eval_segment(self, i: int, s: float) -> np.ndarray:
-        return _quartic(s, self._seg_s0[i], self._seg_h[i], self._seg_y0[i], self._seg_q[i])
+        return _quartic(s, self.s[i], self._seg_h[i], self.states[i], self._seg_q[i])
 
     def __call__(self, s):
         """Dense output at ``s``: a scalar gives shape ``(dim,)``, an array of
@@ -154,10 +155,10 @@ class Trajectory:
         s = np.asarray(s, dtype=float)
         idx = self._segment_index(s)
         h = self._seg_h[idx]
-        x = (s - self._seg_s0[idx]) / h
+        x = (s - self.s[idx]) / h
         x2 = x * x
         powers = np.stack([x, x2, x2 * x, x2 * x * x], axis=-1)
-        return self._seg_y0[idx] + h[:, None] * np.matmul(self._seg_q[idx], powers[..., None])[..., 0]
+        return self.states[idx] + h[:, None] * np.matmul(self._seg_q[idx], powers[..., None])[..., 0]
 
     def time_at(self, k: int, target: float) -> float:
         """First s where the monotone state component k equals ``target``.
@@ -212,15 +213,21 @@ def _initial_step(rhs, s0, y0, f0, direction, rtol, atol, max_step):
 
 
 def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], bool] = None) -> Trajectory:
-    """Integrate ``spec`` until s_end, a terminal event, or a guard stop.
+    """Integrate ``spec`` until s_end, the first event crossing, a guard stop
+    or a step underflow, and return the trajectory with the stop reason:
+    ``reached_end``, ``event``, ``guard`` or ``step_underflow``.
 
     The guard predicate is checked at every stage state before the right-hand
     side is evaluated there; a step that would leave the admissible region is
     retried with half the step, and if no admissible step remains the
-    trajectory ends at the last accepted point with reason ``guard``.
+    trajectory ends at the last accepted point with reason ``guard``. When
+    the error controller alone (no guard involvement) demands a step below
+    the minimum, it ends there with reason ``step_underflow``.
 
-    Raises StepUnderflowError if the error controller alone (no guard
-    involvement) demands a step below the minimum.
+    An event stops the run at the root of g on the step's dense quartic.
+    Where that root is within roundoff of the step end (g crossed at the
+    step's end state but not on the quartic there), the run stops at the
+    step end.
     """
     rhs = spec.rhs
     s = float(spec.s0)
@@ -235,27 +242,22 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
 
     grid = [s]
     samples = [y.copy()]
-    seg_s0, seg_h, seg_y0, seg_q = [], [], [], []
-    hits: list[EventHit] = []
+    seg_h, seg_q = [], []
     ev_vals = [ev.fn(s, y) for ev in spec.events]
-    reason = REACHED_END
 
     K = np.empty((7, spec.dim))
     K[0] = f0
     step_rejected = False
 
-    def finish(why):
-        traj = Trajectory(
+    def finish(why, event=None):
+        return Trajectory(
             s=np.array(grid),
             states=np.array(samples),
             reason=why,
-            events=hits,
-            _seg_s0=np.array(seg_s0) if seg_s0 else np.array([s]),
+            event=event,
             _seg_h=np.array(seg_h) if seg_h else np.array([1.0]),
-            _seg_y0=np.array(seg_y0) if seg_y0 else np.array([y]),
             _seg_q=np.array(seg_q) if seg_q else np.zeros((1, spec.dim, 4)),
         )
-        return traj
 
     while direction * (s_end - s) > 0:
         h_min = max(1e-14, 16 * np.finfo(float).eps * abs(s))
@@ -265,9 +267,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
         h = min(h, spec.max_step, remaining)
         last_step = h >= remaining
         if h < h_min:
-            raise StepUnderflowError(
-                f"step size underflow at s={s!r}", trajectory=finish(UNDERFLOW)
-            )
+            return finish(UNDERFLOW)
 
         guard_blocked = False
         while True:
@@ -285,8 +285,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
             h *= 0.5
             guard_blocked = True
             if h < h_min:
-                reason = GUARD_STOP
-                return finish(reason)
+                return finish(GUARD_STOP)
 
         y_new = y + h * direction * (K.T @ _B)
         if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y_new))):
@@ -301,56 +300,43 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
             h *= factor
             step_rejected = True
             if h < h_min:
-                if guard_blocked:
-                    return finish(GUARD_STOP)
-                raise StepUnderflowError(
-                    f"step size underflow at s={s!r}", trajectory=finish(UNDERFLOW)
-                )
+                return finish(GUARD_STOP if guard_blocked else UNDERFLOW)
             continue
 
         # Accepted step: record the dense segment. (Guard retries may have
         # shrunk h below the remaining span, so re-check before snapping.)
         s_new = s_end if last_step and h >= remaining else s + h * direction
         q = K.T @ _P
-        seg_s0.append(s)
         seg_h.append(h * direction)
-        seg_y0.append(y.copy())
         seg_q.append(q)
 
-        stop_s = None
         # Event localization on the fresh dense segment.
-        if spec.events:
-            def seg_eval(ss, _q=q, _s=s, _h=h * direction, _y=y):
-                return _quartic(ss, _s, _h, _y, _q)
+        def seg_eval(ss):
+            return _quartic(ss, s, h * direction, y, q)
 
-            terminal_hits = []
-            for j, ev in enumerate(spec.events):
-                g_old = ev_vals[j]
-                g_new = ev.fn(s_new, y_new)
-                ev_vals[j] = g_new
-                crossed = (g_old < 0 <= g_new) or (g_old > 0 >= g_new)
-                if not crossed or g_old == 0.0:
-                    continue
-                rising = g_old < 0
-                if ev.direction > 0 and not rising:
-                    continue
-                if ev.direction < 0 and rising:
-                    continue
+        hits = []
+        for j, ev in enumerate(spec.events):
+            g_old = ev_vals[j]
+            g_new = ev.fn(s_new, y_new)
+            ev_vals[j] = g_new
+            crossed = (g_old < 0 <= g_new) or (g_old > 0 >= g_new)
+            if not crossed or g_old == 0.0:
+                continue
+            rising = g_old < 0
+            if ev.direction > 0 and not rising:
+                continue
+            if ev.direction < 0 and rising:
+                continue
+            try:
                 s_hit = find_root(lambda ss: ev.fn(ss, seg_eval(ss)), (s, s_new), tol=1e-12)
-                hit = EventHit(index=j, name=ev.name, s=s_hit, state=seg_eval(s_hit))
-                if ev.terminal:
-                    terminal_hits.append(hit)
-                else:
-                    hits.append(hit)
-            if terminal_hits:
-                first = min(terminal_hits, key=lambda hh: direction * hh.s)
-                hits.append(first)
-                stop_s = first.s
-                grid.append(stop_s)
-                samples.append(first.state)
-                reason = EVENT_STOP
-                s, y = stop_s, first.state
-                return finish(reason)
+                hits.append(EventHit(name=ev.name, s=s_hit, state=seg_eval(s_hit)))
+            except NoSignChangeError:
+                hits.append(EventHit(name=ev.name, s=s_new, state=y_new))
+        if hits:
+            first = min(hits, key=lambda hh: direction * hh.s)
+            grid.append(first.s)
+            samples.append(first.state)
+            return finish(EVENT_STOP, first)
 
         grid.append(s_new)
         samples.append(y_new.copy())
@@ -366,7 +352,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
             step_rejected = False
         h *= factor
 
-    return finish(reason)
+    return finish(REACHED_END)
 
 
 def find_root(f: Callable[[float], float], bracket, tol: float = 1e-12, max_iter: int = 200) -> float:

@@ -33,8 +33,8 @@ from .errors import (
     OutOfScopeParamsError,
     StepUnderflowError,
 )
-from .geomcore import SurfacePatch, grid_vec, profile_columns
-from .odekit import Event, IvpSpec, find_root, integrate
+from .geomcore import SurfacePatch, grid_vec, mirror_defects, profile_columns, profile_spec
+from .odekit import Event, find_root, integrate
 
 CASE_DEGENERATE_LINE = "DegenerateLine"
 CASE_EUCLIDEAN_CIRCLE = "EuclideanCircle"
@@ -62,8 +62,18 @@ def circle_invariant(a: float, b: float) -> float:
     return a * a + 4 * b * b + 4 * b
 
 
+def _den(a: float, b: float, ct):
+    """The angular denominator a + 2b cos(theta) at cos(theta) = ct."""
+    return a + 2 * b * ct
+
+
+def _theta_prime(a: float, b: float, z, ct, st):
+    """theta' at height z, cos(theta) = ct and sin(theta) = st (c = 1)."""
+    return 2.0 * (1.0 - a * ct + b * st * st) / (z * _den(a, b, ct))
+
+
 def initial_slope(a: float, b: float, z0: float, c: float = 1.0) -> float:
-    den = a + 2 * b
+    den = _den(a, b, 1.0)
     if abs(den) < 1e-12:
         raise OutOfScopeParamsError(f"a + 2b = {den}: boundary equality, not classified")
     return (2.0 / z0) * (c - a) / den
@@ -71,9 +81,7 @@ def initial_slope(a: float, b: float, z0: float, c: float = 1.0) -> float:
 
 def slope(a: float, b: float, z, theta):
     """theta' from the reduced relation (c = 1)."""
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    return 2.0 * (1.0 - a * ct + b * st * st) / (z * (a + 2 * b * ct))
+    return _theta_prime(a, b, z, np.cos(theta), np.sin(theta))
 
 
 def relation_residual(a: float, b: float, z, theta, theta_prime):
@@ -148,30 +156,18 @@ class ParabolicProfile:
 def _solve(a: float, b: float, z0: float, tol: float, s_end: float,
            z_floor: float, den_floor: float, events=()) -> odekit.Trajectory:
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
-    s_end, stopping at the breakdown events and then at ``events``. A step
-    underflow returns the partial trajectory (reason step_underflow)."""
-
-    def rhs(s, y):
-        _, z, th = y
-        ct = math.cos(th)
-        st = math.sin(th)
-        return np.array([ct, st, 2.0 * (1.0 - a * ct + b * st * st) / (z * (a + 2 * b * ct))])
-
+    s_end, stopping at the breakdown events and then at ``events``."""
     events = (
-        Event(fn=lambda s, y: y[1] - z_floor, direction=-1, terminal=True, name="z_floor"),
-        Event(fn=lambda s, y: abs(a + 2 * b * math.cos(y[2])) - den_floor, direction=-1,
-              terminal=True, name="denominator"),
+        Event(fn=lambda s, y: y[1] - z_floor, direction=-1, name="z_floor"),
+        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - den_floor, direction=-1, name="denominator"),
         *events,
     )
 
     def guard(s, y):
-        return y[1] > 0.0 and abs(a + 2 * b * math.cos(y[2])) > HARD_DENOMINATOR_FLOOR
+        return y[1] > 0.0 and abs(_den(a, b, math.cos(y[2]))) > HARD_DENOMINATOR_FLOOR
 
-    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
-    try:
-        return integrate(spec, s_end, guard=guard)
-    except StepUnderflowError as exc:
-        return exc.trajectory
+    spec = profile_spec(lambda z, ct, st: _theta_prime(a, b, z, ct, st), z0, tol, events)
+    return integrate(spec, s_end, guard=guard)
 
 
 def _check_z0(z0: float, z_floor: float) -> None:
@@ -208,13 +204,12 @@ def integrate_parabolic(
     _check_z0(z0, z_floor)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
-    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1,
-                       terminal=True, name="angle_span")
+    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1, name="angle_span")
     traj = _solve(a, b, z0, tol, horizon, z_floor, den_floor, events=(angle_span,))
     if traj.reason == odekit.UNDERFLOW and len(traj.s) == 1:
         raise StepUnderflowError(f"the first step from z0 = {z0} underflows: nothing to verify", trajectory=traj)
     causes = {odekit.REACHED_END: "horizon", odekit.GUARD_STOP: "guard", odekit.UNDERFLOW: "step_underflow"}
-    cause = causes.get(traj.reason) or traj.events[-1].name
+    cause = causes.get(traj.reason) or traj.event.name
 
     profile = ParabolicProfile(
         a=a, b=b, z0=z0, tol=tol, trajectory=traj, cause=cause,
@@ -232,7 +227,7 @@ def integrate_parabolic(
     if cause == "z_floor":
         interior = z > 100 * z_floor
     elif cause == "denominator":
-        interior = np.abs(a + 2 * b * ct) > 100 * den_floor
+        interior = np.abs(_den(a, b, ct)) > 100 * den_floor
     else:
         interior = np.ones_like(z, dtype=bool)
     tp0 = initial_slope(a, b, z0)
@@ -381,7 +376,7 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
         notes["concave"] = concave
         inv = circle_invariant(profile.a, profile.b)
         den_envelope = bool(
-            np.all(profile.a + 2 * profile.b * np.cos(theta[interior]) < -math.sqrt(inv) + 1e-9)
+            np.all(_den(profile.a, profile.b, np.cos(theta[interior])) < -math.sqrt(inv) + 1e-9)
         )
         notes["denominator_envelope"] = den_envelope
         ok = (
@@ -619,14 +614,8 @@ def mirror_defect(profile: ParabolicProfile, n: int = 200) -> float:
     back = _solve(profile.a, profile.b, profile.z0, profile.tol, -profile.s_max,
                   profile.z_floor, profile.den_floor)
     s_hi = 0.999 * min(profile.s_max, abs(back.s_end))
-    ss = np.linspace(0.0, s_hi, n)
-    fwd = profile.trajectory(ss)
-    bwd = back(-ss)
-    return float(
-        np.max(np.abs(bwd[:, 0] + fwd[:, 0]))
-        + np.max(np.abs(bwd[:, 1] - fwd[:, 1]))
-        + np.max(np.abs(bwd[:, 2] + fwd[:, 2]))
-    )
+    dx, dz, dtheta = mirror_defects(profile.trajectory, back, np.linspace(0.0, s_hi, n))
+    return float(dx + dz + dtheta)
 
 
 # ---------------------------------------------------------------------------

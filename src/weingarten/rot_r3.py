@@ -21,8 +21,8 @@ import numpy as np
 from . import geomcore, meshes, odekit
 from .csvio import write_csv
 from .errors import BoundViolatedError, DegeneratePointError, GuardViolationError
-from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec, profile_columns
-from .odekit import Event, IvpSpec, find_root, integrate
+from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec, profile_columns, profile_spec
+from .odekit import Event, find_root, integrate
 
 BOUND_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_PERIOD = 2000
@@ -55,18 +55,24 @@ def height_shift(params: WeingartenParams, z0: float) -> float:
     return z0 * z0 - params.a * z0 - params.b
 
 
+def _height(p: WeingartenParams, z0: float, ct):
+    """Closed-form height at cos(theta) = ct on the profile through (0, z0)."""
+    return 0.5 * (p.a * ct + np.sqrt((p.a * p.a + 4 * p.b) * ct * ct + 4 * height_shift(p, z0)))
+
+
 def closed_form_height(params: WeingartenParams, z0: float, theta) -> np.ndarray:
     """Height as an explicit function of the turning angle."""
-    a, b = params.a, params.b
-    ct = np.cos(theta)
-    disc = (a * a + 4 * b) * ct * ct + 4 * height_shift(params, z0)
-    return 0.5 * (a * ct + np.sqrt(disc))
+    return _height(params, z0, np.cos(theta))
+
+
+def _theta_prime(p: WeingartenParams, z, ct):
+    """theta' at height z and cos(theta) = ct."""
+    return (p.a * ct - 2 * z) / (p.a * z + 2 * p.b * ct)
 
 
 def slope(params: WeingartenParams, z, theta):
     """theta' from the governing system."""
-    a, b = params.a, params.b
-    return (a * np.cos(theta) - 2 * z) / (a * z + 2 * b * np.cos(theta))
+    return _theta_prime(params, z, np.cos(theta))
 
 
 @dataclass(frozen=True)
@@ -90,12 +96,8 @@ class SlopeBounds:
 
 
 def _sharp_slope_bound(params: WeingartenParams, z0: float) -> float:
-    a, b = params.a, params.b
-    P = a * a + 4 * b
-    f_z0 = height_shift(params, z0)
     c = np.linspace(-1.0, 1.0, 4097)
-    z = 0.5 * (a * c + np.sqrt(P * c * c + 4 * f_z0))
-    tp = (a * c - 2 * z) / (a * z + 2 * b * c)
+    tp = _theta_prime(params, _height(params, z0, c), c)
     k = int(np.argmax(tp))
     if 0 < k < len(c) - 1:
         # parabolic refinement of the grid maximum
@@ -155,13 +157,7 @@ def _solve(p: WeingartenParams, z0: float, tol: float, s_end: float, events=()) 
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
     s_end, guarded by the positivity of the denominator a z + 2 b cos(theta)."""
     a, b = p.a, p.b
-
-    def rhs(s, y):
-        _, z, th = y
-        ct = math.cos(th)
-        return np.array([ct, math.sin(th), (a * ct - 2 * z) / (a * z + 2 * b * ct)])
-
-    spec = IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+    spec = profile_spec(lambda z, ct, st: _theta_prime(p, z, ct), z0, tol, events)
     return integrate(spec, s_end, guard=lambda s, y: a * y[1] + 2 * b * math.cos(y[2]) > 0.0)
 
 
@@ -185,7 +181,7 @@ def integrate_profile(
         )
     bounds = slope_bounds(p, z0)
     theta_goal = -2.0 * math.pi * n_periods
-    full_turns = Event(fn=lambda s, y: y[2] - theta_goal, direction=-1, terminal=True, name="full_turns")
+    full_turns = Event(fn=lambda s, y: y[2] - theta_goal, direction=-1, name="full_turns")
     # theta' <= M < 0, so each turn takes at most 2*pi/|M|.
     horizon = 2.0 * math.pi * n_periods / abs(bounds.M) * 1.05 + 1.0
     traj = _solve(p, z0, tol, horizon, events=(full_turns,))
@@ -525,12 +521,8 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
 
     # Mirror symmetry about x = 0: integrate backward and compare.
     back = _solve(profile.params, profile.z0, profile.tol, -T / 2)
-    s_sym = np.linspace(0.0, T / 2, 200)
-    fwd = traj(s_sym)
-    bwd = back(-s_sym)
-    symmetry_defect = float(
-        np.max(np.abs(bwd[:, 0] + fwd[:, 0])) + np.max(np.abs(bwd[:, 1] - fwd[:, 1]))
-    )
+    dx, dz, _ = geomcore.mirror_defects(traj, back, np.linspace(0.0, T / 2, 200))
+    symmetry_defect = float(dx + dz)
 
     return StructureReport(
         monotonicity=monotonicity,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from weingarten import cyclic_r3, parab_h3, rot_r3
@@ -24,6 +26,22 @@ def parab_figure_profiles():
         (0.5, -0.2): parab_h3.integrate_parabolic(0.5, -0.2, 1.0),
         (0.5, 0.3): parab_h3.integrate_parabolic(0.5, 0.3, 1.0),
     }
+
+
+def _scaled_height(profile, factor):
+    """The profile with z scaled by ``factor`` along the whole dense output."""
+    traj = profile.trajectory
+    states, seg_q = traj.states.copy(), traj._seg_q.copy()
+    states[:, 1] *= factor
+    seg_q[:, 1, :] *= factor
+    scaled = dataclasses.replace(traj, states=states, _seg_q=seg_q)
+    return dataclasses.replace(profile, trajectory=scaled)
+
+
+@pytest.fixture(scope="session")
+def scaled_height():
+    # The profile corruption the verdict-flip tests of both profile families use.
+    return _scaled_height
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from weingarten import cli, meshes, rot_r3
+from weingarten import cli, meshes, odekit, rot_r3
 from weingarten.geomcore import WeingartenParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,3 +292,10 @@ def test_traced_layers_resolve_in_the_library():
         lib = importlib.import_module(f"weingarten.{module}")
         target = lib.Trajectory.__call__ if name == "odekit.dense_eval" else getattr(lib, attr, None)
         assert callable(target), name
+    # It also reads these odekit names, rebuilds the IvpSpec with a counting
+    # rhs through dataclasses.replace, and finds the families' integrate by
+    # identity with odekit.integrate.
+    assert issubclass(odekit.StepUnderflowError, Exception)
+    assert isinstance(odekit.GUARD_STOP, str) and isinstance(odekit.UNDERFLOW, str)
+    assert "rhs" in {f.name for f in dataclasses.fields(odekit.IvpSpec)}
+    assert rot_r3.integrate is odekit.integrate

@@ -58,7 +58,6 @@ def test_cone_patch_is_regular():
 
 def test_patch_derivatives_consistent_with_fd():
     spec = riemann_example(1.0, 0.0, 1.0, 0.0, (-1, 1))
-    assert spec.check_derivatives() < 1e-6
     assert geomcore.check_derivatives(cyclic_patch(spec), n_u=4, n_v=4) < 1e-6
 
 
@@ -148,7 +147,7 @@ def test_sphere_coefficients_vanish():
 
 def test_zero_radius_raises_from_the_radius_derivative():
     # At the pole of a sphere slice r = 0: the partials evaluate r' = -u/r
-    # before anything else, so its ZeroDivisionError is what a curvature
+    # before anything else, so its NonPositiveRadiusError is what a curvature
     # query there raises.
     spec = sphere_slice(1.0, u_range=(-1.0, 1.0))
     called = []
@@ -161,7 +160,7 @@ def test_zero_radius_raises_from_the_radius_derivative():
 
     r = spec.radius
     radius = CurveFunc(logged("value", r.value), logged("d1", r.d1), logged("d2", r.d2))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(NonPositiveRadiusError):
         geomcore.curvature_field(cyclic_patch(dataclasses.replace(spec, radius=radius)), [1.0], [0.0, 1.0])
     assert called == ["d1"]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +73,22 @@ def test_denominator_stop_past_the_pole_is_not_a_sign_change():
     cls = classify(a, b, z0)
     assert cls.label == CASE_INCOMPLETE_GRAPH and cls.corroborated
     assert all(parab_h3.profile_report(profile)["verdicts"].values())
+
+
+@pytest.mark.parametrize("a, b, z0, label", [
+    (0.34330582560125117, 0.8416437588815375, 0.5115280980712541, CASE_INCOMPLETE_NON_GRAPH),
+    (0.7867775423808142, 0.5887712342921316, 1.2503223380278465, CASE_INCOMPLETE_NON_GRAPH),
+    (0.5380759957127557, -0.5385139913506788, 0.6529625220742444, CASE_INCOMPLETE_GRAPH),
+], ids=["seed7-item298", "seed12-item460", "seed2-item751"])
+def test_denominator_root_within_roundoff_of_the_step_end(a, b, z0, label):
+    # The denominator event's g crosses at the step's end state but not on
+    # the step's quartic there (the bracket is about 1e-13 wide), so the root
+    # cannot be bracketed; the run stops at the step end. The ids say where
+    # the benchmark's parab_classify workload draws each triple.
+    cls = classify(a, b, z0)
+    assert cls.label == label and cls.corroborated
+    assert cls.termination_cause == "denominator"
+    assert all(parab_h3.profile_report(integrate_parabolic(a, b, z0))["verdicts"].values())
 
 
 @pytest.mark.parametrize("b", [-1.0, -0.8, -0.2, 0.3])
@@ -403,18 +418,7 @@ def test_random_pairs_classify_and_corroborate():
 # Profile report verdicts
 # ---------------------------------------------------------------------------
 
-def scaled_height(profile, factor):
-    """The profile with z scaled by ``factor`` along the whole dense output."""
-    traj = profile.trajectory
-    states, seg_y0, seg_q = traj.states.copy(), traj._seg_y0.copy(), traj._seg_q.copy()
-    states[:, 1] *= factor
-    seg_y0[:, 1] *= factor
-    seg_q[:, 1, :] *= factor
-    scaled = dataclasses.replace(traj, states=states, _seg_y0=seg_y0, _seg_q=seg_q)
-    return dataclasses.replace(profile, trajectory=scaled)
-
-
-def test_profile_report_verdicts_flip_on_scaled_height(parab_figure_profiles):
+def test_profile_report_verdicts_flip_on_scaled_height(parab_figure_profiles, scaled_height):
     prof = parab_figure_profiles[(0.5, -0.2)]
     assert parab_h3.profile_report(prof)["verdicts"] == {
         "relation_residual": True, "mirror_symmetry": True, "derivative_identity": True,

@@ -310,6 +310,15 @@ def test_report_verdicts(fig3_profile, fig3_structure):
     assert abs(rep["bounds"]["M"] + 1 / math.sqrt(5)) < 1e-12
 
 
+def test_mirror_symmetry_verdict_flips_on_scaled_height(fig3_profile, scaled_height):
+    # The backward solve starts from the true (z0, tol), so a forward branch
+    # with z scaled by 1.05 is no longer its mirror image.
+    structure = rot_r3.structure_report(scaled_height(fig3_profile, 1.05))
+    assert structure.symmetry_defect > 0.1
+    verdicts = rot_r3.report(fig3_profile, structure=structure)["verdicts"]
+    assert verdicts["mirror_symmetry"] is False
+
+
 # ---------------------------------------------------------------------------
 # Seeded admissible sweep (module-level smoke; the full 20-triple sweep runs
 # in the acceptance suite)
