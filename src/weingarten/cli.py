@@ -94,7 +94,7 @@ def cmd_parab_integrate(args) -> int:
 
 def cmd_parab_classify(args) -> int:
     out = _out_dir(args)
-    cls = parab_h3.classify(args.a, args.b, args.z0)
+    cls = parab_h3.classify(args.a, args.b, args.z0, tol=args.tol)
     _write_json(out / "parab_classification.json", parab_h3.classification_json(cls))
     return _verdict_exit(bool(cls.corroborated))
 

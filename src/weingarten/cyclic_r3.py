@@ -27,29 +27,42 @@ MINIMAL = WeingartenParams(1, 0, 0)
 FLAT = WeingartenParams(0, 1, 0)
 
 
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """Python's ``v ** k`` of each entry: libm ``pow``, which numpy's ``**``
+    does not match on every input."""
+    return np.array([v ** k for v in x.tolist()])
+
+
+def _u_range(u_range) -> tuple[float, float]:
+    u_lo, u_hi = float(u_range[0]), float(u_range[1])
+    if not u_lo < u_hi:
+        raise ValueError(f"u_range = ({u_lo}, {u_hi}) needs u_min < u_max")
+    return u_lo, u_hi
+
+
 @dataclass(frozen=True)
 class CurveFunc:
-    """Scalar function of u with its first two derivatives."""
+    """Function of u with its first two derivatives; each callable maps a
+    1-D array of u to the array of values, as ``SurfacePatch`` does."""
 
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
+    value: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def constant(c: float) -> "CurveFunc":
-        return CurveFunc(lambda u: c, lambda u: 0.0, lambda u: 0.0)
+        return CurveFunc(lambda u: np.full(len(u), c), lambda u: np.zeros(len(u)), lambda u: np.zeros(len(u)))
 
     @staticmethod
     def linear(c0: float, c1: float) -> "CurveFunc":
-        return CurveFunc(lambda u: c0 + c1 * u, lambda u: c1, lambda u: 0.0)
+        return CurveFunc(lambda u: c0 + c1 * u, lambda u: np.full(len(u), c1), lambda u: np.zeros(len(u)))
 
     @staticmethod
     def poly(coeffs) -> "CurveFunc":
         """Ascending-order polynomial coefficients."""
         p = np.polynomial.Polynomial(coeffs)
         p1 = p.deriv()
-        p2 = p1.deriv()
-        return CurveFunc(lambda u: float(p(u)), lambda u: float(p1(u)), lambda u: float(p2(u)))
+        return CurveFunc(p, p1, p1.deriv())
 
 
 @dataclass
@@ -63,9 +76,8 @@ class CyclicSurfaceSpec:
     radius: CurveFunc
     kind: str = "parallel-planes"
 
-    def check_radius_positive(self, n: int = 200) -> None:
-        us = np.linspace(*self.u_range, n)
-        r = np.array([self.radius.value(float(u)) for u in us])
+    def check_radius_positive(self) -> None:
+        r = self.radius.value(np.linspace(*self.u_range, 200))
         if np.min(r) <= 0:
             raise NonPositiveRadiusError(
                 f"radius reaches {np.min(r):.6g} <= 0 on {self.u_range}"
@@ -78,21 +90,18 @@ def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
     the radius is positive."""
     f, g, r = spec.center_x, spec.center_y, spec.radius
 
-    def col(fn, us):  # one call of the curve function per u
-        return np.array([[fn(u)] for u in us.tolist()])
-
     def pos(u, v):
-        rv, (cv, sv) = col(r.value, u), cos_sin(v)
-        return grid_vec(u, v, col(f.value, u) + rv * cv, col(g.value, u) + rv * sv, u[:, None])
+        rv, (cv, sv) = r.value(u)[:, None], cos_sin(v)
+        return grid_vec(u, v, f.value(u)[:, None] + rv * cv, g.value(u)[:, None] + rv * sv, u[:, None])
 
     def partials(u, v):
         # r.d1 is evaluated first: where r = 0 its error is the one raised
-        r1, (cv, sv) = col(r.d1, u), cos_sin(v)
-        rv, r2 = col(r.value, u), col(r.d2, u)
+        r1, (cv, sv) = r.d1(u)[:, None], cos_sin(v)
+        rv, r2 = r.value(u)[:, None], r.d2(u)[:, None]
         return (
-            grid_vec(u, v, col(f.d1, u) + r1 * cv, col(g.d1, u) + r1 * sv, 1.0),
+            grid_vec(u, v, f.d1(u)[:, None] + r1 * cv, g.d1(u)[:, None] + r1 * sv, 1.0),
             grid_vec(u, v, -rv * sv, rv * cv, 0.0),
-            grid_vec(u, v, col(f.d2, u) + r2 * cv, col(g.d2, u) + r2 * sv, 0.0),
+            grid_vec(u, v, f.d2(u)[:, None] + r2 * cv, g.d2(u)[:, None] + r2 * sv, 0.0),
             grid_vec(u, v, -r1 * sv, r1 * cv, 0.0),
             grid_vec(u, v, -rv * cv, -rv * sv, 0.0),
         )
@@ -120,7 +129,7 @@ class RiemannSpec(CyclicSurfaceSpec):
 
 
 def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
-                    u_range=(-1.0, 1.0), tol: float = 1e-12) -> RiemannSpec:
+                    u_range=(-1.0, 1.0)) -> RiemannSpec:
     """Solve the minimal-surface center/radius system
 
         f' = lam r^2,   g' = mu r^2,   r r'' = 1 + (lam^2+mu^2) r^4 + r'^2
@@ -134,8 +143,10 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
 
     lam = mu = 0 is the rotational minimal surface (catenary radius); any
     other choice gives the non-rotational periodic minimal family. The spec
-    fields evaluate the dense output; second derivatives evaluate the
-    governing system on it.
+    fields evaluate the dense output, with one array call per direction of
+    integration; second derivatives evaluate the governing system on it.
+    They raise ValueError outside the integrated range, where the dense
+    output would only extrapolate. u_range must hold 0 and u_min < u_max.
     """
     if r0 <= 0:
         raise NonPositiveRadiusError(f"r0 = {r0} must be positive")
@@ -148,11 +159,11 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
 
     y0 = [0.0, 0.0, r0, r0_prime]
     guard = lambda u, y: y[2] > 1e-9
-    u_lo, u_hi = float(u_range[0]), float(u_range[1])
+    u_lo, u_hi = _u_range(u_range)
     if u_lo > 0 or u_hi < 0:
         raise ValueError("u_range must contain 0 (initial data is centered there)")
 
-    spec = IvpSpec(rhs=rhs, s0=0.0, y0=y0, rtol=tol, atol=tol * 1e-2)
+    spec = IvpSpec(rhs=rhs, s0=0.0, y0=y0, rtol=1e-12, atol=1e-14)
     fwd = integrate(spec, u_hi, guard=guard) if u_hi > 0 else None
     bwd = integrate(spec, u_lo, guard=guard) if u_lo < 0 else None
 
@@ -160,26 +171,28 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     hi = fwd.s_end if fwd is not None else 0.0
 
     def at(u):
-        if u >= 0:
-            return fwd(u) if fwd is not None else np.asarray(y0)
-        return bwd(u)
-
-    def r_at(u):
-        return float(at(u)[2])
+        """(n, 4) states (f, g, r, r') at the 1-D array ``u``."""
+        outside = ~((lo <= u) & (u <= hi))
+        if outside.any():
+            raise ValueError(f"u = {float(u[outside][0])} is outside the integrated range [{lo}, {hi}]")
+        ahead = u >= 0
+        y = np.empty((len(u), 4))
+        y[ahead] = fwd(u[ahead]) if fwd is not None else y0
+        y[~ahead] = bwd(u[~ahead]) if bwd is not None else y0
+        return y
 
     def center_field(coef, idx):
-        return CurveFunc(
-            value=lambda u: float(at(u)[idx]),
-            d1=lambda u: coef * r_at(u) ** 2,
-            d2=lambda u: 2.0 * coef * r_at(u) * float(at(u)[3]),
-        )
+        def d2(u):
+            _, _, r, rp = at(u).T
+            return 2.0 * coef * r * rp
+
+        return CurveFunc(value=lambda u: at(u)[:, idx], d1=lambda u: coef * _pow(at(u)[:, 2], 2), d2=d2)
 
     def r_dd(u):
-        y = at(u)
-        r, rp = float(y[2]), float(y[3])
-        return (1.0 + c4 * r**4 + rp * rp) / r
+        _, _, r, rp = at(u).T
+        return (1.0 + c4 * _pow(r, 4) + rp * rp) / r
 
-    r = CurveFunc(value=r_at, d1=lambda u: float(at(u)[3]), d2=r_dd)
+    r = CurveFunc(value=lambda u: at(u)[:, 2], d1=lambda u: at(u)[:, 3], d2=r_dd)
     return RiemannSpec(
         u_range=(float(lo), float(hi)),
         center_x=center_field(lam, 0), center_y=center_field(mu, 1), radius=r,
@@ -188,21 +201,19 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     )
 
 
-def riemann_identity_residual(spec: RiemannSpec, n: int = 400) -> float:
+def riemann_identity_residual(spec: RiemannSpec) -> float:
     """Conservation form of the radius equation along the trajectory.
 
     (1 + r'^2)/r^2 - (lam^2 + mu^2) r^2 is a first integral: its u-derivative
     equals (2 r'/r^3)(r r'' - r'^2 - (lam^2+mu^2) r^4 - 1). The reported
-    residual r^2 |I(u) - I(0)| is the integrated defect of that identity.
+    residual r^2 |I(u) - I(0)| is the integrated defect of that identity,
+    its maximum over 400 points of the range (NaN points ignored).
     """
     c4 = spec.lam**2 + spec.mu**2
     i0 = (1.0 + spec.r0_prime**2) / spec.r0**2 - c4 * spec.r0**2
-    worst = 0.0
-    for u in np.linspace(*spec.u_range, n):
-        r = spec.radius.value(float(u))
-        rp = spec.radius.d1(float(u))
-        worst = max(worst, abs(1.0 + rp * rp - r * r * (i0 + c4 * r * r)))
-    return worst
+    us = np.linspace(*spec.u_range, 400)
+    r, rp = spec.radius.value(us), spec.radius.d1(us)
+    return float(np.fmax.reduce(np.abs(1.0 + rp * rp - r * r * (i0 + c4 * r * r)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +225,7 @@ def generalized_cone(f0: float, f1: float, g0: float, g1: float,
     """Collinear circle centers (f, g) = (f0 + f1 u, g0 + g1 u) and linear
     radius r = r0 + r1 u: the flat (K = 0) cyclic family."""
     spec = CyclicSurfaceSpec(
-        u_range=(float(u_range[0]), float(u_range[1])),
+        u_range=_u_range(u_range),
         center_x=CurveFunc.linear(f0, f1),
         center_y=CurveFunc.linear(g0, g1),
         radius=CurveFunc.linear(r0, r1),
@@ -226,25 +237,27 @@ def generalized_cone(f0: float, f1: float, g0: float, g1: float,
 
 def sphere_slice(radius: float = 1.0, u_range=None) -> CyclicSurfaceSpec:
     """A round sphere sliced by parallel planes: r(u) = sqrt(R^2 - u^2).
-    The radius functions raise NonPositiveRadiusError for |u| >= R."""
+    The radius functions raise NonPositiveRadiusError, naming the first such
+    u, where |u| >= R."""
     R = float(radius)
     if u_range is None:
         u_range = (-0.7 * R, 0.7 * R)
 
     def r(u):
         r2 = R * R - u * u
-        if not r2 > 0:
-            raise NonPositiveRadiusError(f"sphere slice of radius {R} has no circle at u = {u}")
-        return math.sqrt(r2)
+        bad = ~(r2 > 0)
+        if bad.any():
+            raise NonPositiveRadiusError(f"sphere slice of radius {R} has no circle at u = {float(u[bad][0])}")
+        return np.sqrt(r2)
 
     return CyclicSurfaceSpec(
-        u_range=(float(u_range[0]), float(u_range[1])),
+        u_range=_u_range(u_range),
         center_x=CurveFunc.constant(0.0),
         center_y=CurveFunc.constant(0.0),
         radius=CurveFunc(
             value=r,
             d1=lambda u: -u / r(u),
-            d2=lambda u: -R * R / r(u) ** 3,
+            d2=lambda u: -R * R / _pow(r(u), 3),
         ),
         kind="sphere-slice",
     )

@@ -33,7 +33,7 @@ from .errors import (
     OutOfScopeParamsError,
     StepUnderflowError,
 )
-from .geomcore import SurfacePatch, grid_vec, mirror_defects, profile_columns, profile_spec
+from .geomcore import SurfacePatch, cos_sin, grid_vec, mirror_defects, profile_columns, profile_spec
 from .odekit import Event, find_root, integrate
 
 CASE_DEGENERATE_LINE = "DegenerateLine"
@@ -53,8 +53,14 @@ ALL_CASES = (
 )
 
 HARD_DENOMINATOR_FLOOR = 1e-9
-Z_FLOOR = 1e-8  # default height at which the z -> 0 breakdown event fires
+Z_FLOOR = 1e-8  # height at which the z -> 0 breakdown event fires
+DEN_FLOOR = 1e-6  # |a + 2b cos(theta)| at which the denominator event fires
+MAX_TURNS = 2.0  # full turns of theta before the angle_span event stops a run
 CIRCLE_TOL = 1e-12
+# Base step of the derivative identity's finite differences, and the largest
+# contribution their estimated error may make to a sample's residual.
+FD_STEP = 1e-5
+FD_BUDGET = 1e-7
 
 
 def circle_invariant(a: float, b: float) -> float:
@@ -102,8 +108,6 @@ class ParabolicProfile:
     tol: float
     trajectory: odekit.Trajectory
     cause: str  # horizon | z_floor | denominator | angle_span | guard | step_underflow
-    z_floor: float
-    den_floor: float
 
     @property
     def c(self) -> float:
@@ -144,8 +148,8 @@ class ParabolicProfile:
             np.concatenate([k2[:0:-1], k2]),
         )
 
-    def max_relation_residual(self, n: int = 2000) -> float:
-        _, _, z, theta, tp, _, _ = self.sample(n)
+    def max_relation_residual(self) -> float:
+        _, _, z, theta, tp, _, _ = self.sample(2000)
         return float(np.max(np.abs(relation_residual(self.a, self.b, z, theta, tp))))
 
     def time_at_angle(self, target: float) -> float:
@@ -153,13 +157,12 @@ class ParabolicProfile:
         return self.trajectory.time_at(2, target)
 
 
-def _solve(a: float, b: float, z0: float, tol: float, s_end: float,
-           z_floor: float, den_floor: float, events=()) -> odekit.Trajectory:
+def _solve(a: float, b: float, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
     s_end, stopping at the breakdown events and then at ``events``."""
     events = (
-        Event(fn=lambda s, y: y[1] - z_floor, direction=-1, name="z_floor"),
-        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - den_floor, direction=-1, name="denominator"),
+        Event(fn=lambda s, y: y[1] - Z_FLOOR, direction=-1, name="z_floor"),
+        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - DEN_FLOOR, direction=-1, name="denominator"),
         *events,
     )
 
@@ -170,15 +173,15 @@ def _solve(a: float, b: float, z0: float, tol: float, s_end: float,
     return integrate(spec, s_end, guard=guard)
 
 
-def _check_z0(z0: float, z_floor: float) -> None:
+def _check_z0(z0: float) -> None:
     """Refuse a start at or below the z -> 0 breakdown height: it is already
     past the breakdown that the z_floor event reports.
 
-    Just above the floor (z0 = 2e-8 at the defaults) theta' ~ 1/z0 is so
-    large against atol that odekit's starting step is below the minimum
-    step; ``integrate_parabolic`` then raises StepUnderflowError."""
-    if not z0 > z_floor:
-        raise ValueError(f"z0 = {z0} must exceed the z floor {z_floor} (upper half-space)")
+    Just above the floor (z0 = 2e-8) theta' ~ 1/z0 is so large against
+    atol that odekit's starting step is below the minimum step;
+    ``integrate_parabolic`` then raises StepUnderflowError."""
+    if not z0 > Z_FLOOR:
+        raise ValueError(f"z0 = {z0} must exceed the z floor {Z_FLOOR} (upper half-space)")
 
 
 def integrate_parabolic(
@@ -187,13 +190,10 @@ def integrate_parabolic(
     z0: float,
     tol: float = 1e-11,
     horizon: float = 1000.0,
-    z_floor: float = Z_FLOOR,
-    den_floor: float = 1e-6,
-    max_turns: float = 2.0,
 ) -> ParabolicProfile:
-    """Integrate the profile forward until the horizon, a full-turn budget,
+    """Integrate the profile forward until the horizon, MAX_TURNS full turns,
     or one of the breakdown events (z -> 0, vanishing angular denominator).
-    Requires z0 > z_floor (ValueError otherwise); raises StepUnderflowError
+    Requires z0 > Z_FLOOR (ValueError otherwise); raises StepUnderflowError
     when the step control cannot take a first step.
 
     The breakdown events encode the finite maximal-interval cases of the
@@ -201,20 +201,17 @@ def integrate_parabolic(
     ``cause``. A hard guard keeps the right-hand side evaluations away from
     z <= 0 and |a + 2b cos(theta)| <= 1e-9.
     """
-    _check_z0(z0, z_floor)
+    _check_z0(z0)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
-    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * max_turns, direction=+1, name="angle_span")
-    traj = _solve(a, b, z0, tol, horizon, z_floor, den_floor, events=(angle_span,))
+    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * MAX_TURNS, direction=+1, name="angle_span")
+    traj = _solve(a, b, z0, tol, horizon, events=(angle_span,))
     if traj.reason == odekit.UNDERFLOW and len(traj.s) == 1:
         raise StepUnderflowError(f"the first step from z0 = {z0} underflows: nothing to verify", trajectory=traj)
     causes = {odekit.REACHED_END: "horizon", odekit.GUARD_STOP: "guard", odekit.UNDERFLOW: "step_underflow"}
     cause = causes.get(traj.reason) or traj.event.name
 
-    profile = ParabolicProfile(
-        a=a, b=b, z0=z0, tol=tol, trajectory=traj, cause=cause,
-        z_floor=z_floor, den_floor=den_floor,
-    )
+    profile = ParabolicProfile(a=a, b=b, z0=z0, tol=tol, trajectory=traj, cause=cause)
 
     # The turning dichotomy: theta' never changes sign unless it vanishes
     # identically (straight line). At an ideal-boundary endpoint both the
@@ -225,9 +222,9 @@ def integrate_parabolic(
     # The check covers the open interior.
     _, _, z, _, tp, _, ct = profile.sample(500)
     if cause == "z_floor":
-        interior = z > 100 * z_floor
+        interior = z > 100 * Z_FLOOR
     elif cause == "denominator":
-        interior = np.abs(_den(a, b, ct)) > 100 * den_floor
+        interior = np.abs(_den(a, b, ct)) > 100 * DEN_FLOOR
     else:
         interior = np.ones_like(z, dtype=bool)
     tp0 = initial_slope(a, b, z0)
@@ -371,7 +368,7 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
         # denominator stays below -sqrt(a^2 + 4b^2 + 4b). Checked on the open
         # interior: at the ideal-boundary endpoint theta' -> 0 and roundoff
         # wiggles its sign.
-        interior = z > 100 * profile.z_floor
+        interior = z > 100 * Z_FLOOR
         concave = bool(np.all(tp[interior] * np.cos(theta[interior]) < 1e-12))
         notes["concave"] = concave
         inv = circle_invariant(profile.a, profile.b)
@@ -401,7 +398,7 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
         notes["numerator_floor_ok"] = num_floor_ok
         ok = (
             profile.cause in ("denominator", "step_underflow")
-            and float(z[-1]) > 10 * profile.z_floor
+            and float(z[-1]) > 10 * Z_FLOOR
             and abs(half_den_end) < 1e-5
             and num_floor_ok
         )
@@ -435,15 +432,16 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
     return False, notes
 
 
-def classify(a: float, b: float, z0: float, corroborate: bool = True, **integrate_kw) -> ParabClassification:
+def classify(a: float, b: float, z0: float, corroborate: bool = True, tol: float = 1e-11) -> ParabClassification:
     """Decision tree over (a, b, z0) with c = 1.
 
     Degenerate-line and circle tests apply for any a; the four-way tree
     requires 0 < a < 1 and b != 0. Boundary equalities and parameters
     outside that range raise OutOfScopeParamsError rather than guessing.
-    z0 must exceed the z floor of the integration (ValueError otherwise).
+    z0 must exceed the z floor of the integration (ValueError otherwise);
+    the corroborating run integrates with tolerance ``tol``.
     """
-    _check_z0(z0, integrate_kw.get("z_floor", Z_FLOOR))
+    _check_z0(z0)
     tp0 = initial_slope(a, b, z0)  # raises on a + 2b = 0
     inv = circle_invariant(a, b)
 
@@ -482,7 +480,7 @@ def classify(a: float, b: float, z0: float, corroborate: bool = True, **integrat
     corroborated = None
     notes: dict = {}
     if corroborate:
-        profile = integrate_parabolic(a, b, z0, **integrate_kw)
+        profile = integrate_parabolic(a, b, z0, tol=tol)
         cause = profile.cause
         corroborated, notes = _corroborate(profile, label, theta1)
 
@@ -507,48 +505,43 @@ def classify(a: float, b: float, z0: float, corroborate: bool = True, **integrat
 # Differentiated-relation identity
 # ---------------------------------------------------------------------------
 
-def derivative_identity_residual(profile: ParabolicProfile, fd_step: float = 1e-5,
-                                 fd_budget: float = 1e-7) -> float:
+def derivative_identity_residual(profile: ParabolicProfile) -> float:
     """Residual of the s-derivative of the defining relation,
 
         -theta' sin(theta) [b z theta' + (a/2 + b cos(theta))]
             + (a/2 + b cos(theta)) z theta'' = 0,
 
     with theta'' from Richardson-extrapolated central differences of theta'
-    (base step ``fd_step``) on the dense output. Sampled at dense-segment
+    (base step FD_STEP) on the dense output. Sampled at dense-segment
     midpoints so the stencil never straddles an interpolation knot, and
     restricted to the resolvable interior: samples where the estimated
-    finite-difference error contributes more than ``fd_budget`` to the
-    residual (the curvature blow-up layer near a finite maximal interval)
-    carry no information about the identity and are skipped. Vanishes along
+    finite-difference error contributes more than FD_BUDGET to the residual
+    (the curvature blow-up layer near a finite maximal interval) carry no
+    information about the identity and are skipped. A NaN sample is kept and
+    ignored by the maximum, which is 0.0 over no samples. Vanishes along
     exact solutions.
     """
     a, b = profile.a, profile.b
     traj = profile.trajectory
-    knots = traj.s
-    worst = 0.0
+    s0, s1 = traj.s[:-1], traj.s[1:]
+    wide = np.abs(s1 - s0) >= 4 * FD_STEP
+    m = 0.5 * (s0[wide] + s1[wide])
 
     def tp_at(s):
-        _, z, th = traj(s)
+        _, z, th = traj(s).T
         return slope(a, b, z, th)
 
-    for i in range(len(knots) - 1):
-        s0, s1 = float(knots[i]), float(knots[i + 1])
-        if abs(s1 - s0) < 4 * fd_step:
-            continue
-        m = 0.5 * (s0 + s1)
-        d_full = (tp_at(m + fd_step) - tp_at(m - fd_step)) / (2 * fd_step)
-        d_half = (tp_at(m + fd_step / 2) - tp_at(m - fd_step / 2)) / fd_step
-        tpp = (4 * d_half - d_full) / 3
-        fd_err = abs(d_half - d_full) / 3
-        _, z, th = traj(m)
-        half = a / 2 + b * math.cos(th)
-        if fd_err * abs(half * z) > fd_budget:
-            continue
-        tp = tp_at(m)
-        res = -tp * math.sin(th) * (b * z * tp + half) + half * z * tpp
-        worst = max(worst, abs(res))
-    return float(worst)
+    d_full = (tp_at(m + FD_STEP) - tp_at(m - FD_STEP)) / (2 * FD_STEP)
+    d_half = (tp_at(m + FD_STEP / 2) - tp_at(m - FD_STEP / 2)) / FD_STEP
+    tpp = (4 * d_half - d_full) / 3
+    fd_err = np.abs(d_half - d_full) / 3
+    _, z, th = traj(m).T
+    ct, st = cos_sin(th)
+    half = a / 2 + b * ct
+    keep = ~(fd_err * np.abs(half * z) > FD_BUDGET)
+    tp = slope(a, b, z, th)
+    res = -tp * st * (b * z * tp + half) + half * z * tpp
+    return float(np.fmax.reduce(np.abs(res[keep]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +558,14 @@ class ParabolicPatch:
     profile: ParabolicProfile
     relation_residual_max: float
 
-    def kappas(self, s):
-        _, z, th = self.profile.trajectory(s)
-        tp = slope(self.profile.a, self.profile.b, z, th)
-        k2 = math.cos(th)
-        return z * tp + k2, k2
 
-
-def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0), n_check: int = 400) -> ParabolicPatch:
+def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0)) -> ParabolicPatch:
     """Build the invariant-surface patch and verify a*H + b*K = 1 pointwise
     with H = (k1+k2)/2 and K = k1*k2 - 1 (Gauss equation in curvature -1)."""
     traj = profile.trajectory
     a, b = profile.a, profile.b
 
-    _, _, z, theta, tp, k1, k2 = profile.sample(n_check)
+    _, _, z, theta, tp, k1, k2 = profile.sample(400)
     if np.min(z) <= 0:
         raise DegeneratePointError("profile leaves the upper half-space")
     H = 0.5 * (k1 + k2)
@@ -609,12 +596,11 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0), n_check: int = 4
     return ParabolicPatch(patch=patch, profile=profile, relation_residual_max=residual)
 
 
-def mirror_defect(profile: ParabolicProfile, n: int = 200) -> float:
+def mirror_defect(profile: ParabolicProfile) -> float:
     """Integrate backward and compare against the mirrored forward branch."""
-    back = _solve(profile.a, profile.b, profile.z0, profile.tol, -profile.s_max,
-                  profile.z_floor, profile.den_floor)
+    back = _solve(profile.a, profile.b, profile.z0, profile.tol, -profile.s_max)
     s_hi = 0.999 * min(profile.s_max, abs(back.s_end))
-    dx, dz, dtheta = mirror_defects(profile.trajectory, back, np.linspace(0.0, s_hi, n))
+    dx, dz, dtheta = mirror_defects(profile.trajectory, back, np.linspace(0.0, s_hi, 200))
     return float(dx + dz + dtheta)
 
 

@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from weingarten import cyclic_r3, parab_h3, rot_r3
+from weingarten import cyclic_r3, odekit, parab_h3, rot_r3
 from weingarten.geomcore import WeingartenParams
 
 
@@ -42,6 +43,21 @@ def _scaled_height(profile, factor):
 def scaled_height():
     # The profile corruption the verdict-flip tests of both profile families use.
     return _scaled_height
+
+
+@pytest.fixture
+def dense_call_shapes(monkeypatch):
+    """The shape of ``s`` in every dense-output call the test makes: () for
+    a scalar call, (n,) for an array call."""
+    shapes = []
+    call = odekit.Trajectory.__call__
+
+    def counted(self, s):
+        shapes.append(np.shape(s))
+        return call(self, s)
+
+    monkeypatch.setattr(odekit.Trajectory, "__call__", counted)
+    return shapes
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from weingarten import cli, meshes, odekit, rot_r3
+from weingarten import cli, meshes, odekit, parab_h3, rot_r3
 from weingarten.geomcore import WeingartenParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,6 +208,34 @@ def test_parab_integrate_first_step_underflow_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["cyclic", "riemann", "--u-min", "0", "--u-max", "0"],
+    ["mesh", "export", "--surface", "riemann", "--u-min", "0", "--u-max", "0"],
+    ["mesh", "export", "--surface", "cone", "--u-min", "0", "--u-max", "0"],
+    # u = 3 lies outside the integrated range (-1, 1): the dense output
+    # would only extrapolate, and the minimal relation holds there regardless
+    ["cyclic", "coeffs", "--surface", "riemann", "--lam", "1", "--u", "3", "--a", "1", "--b", "0", "--c", "0"],
+])
+def test_empty_or_outside_cyclic_range_is_usage_error(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parab_classify_integrates_with_tol(tmp_path, monkeypatch):
+    tols = []
+    integrate = parab_h3.integrate_parabolic
+
+    def recorded(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(parab_h3, "integrate_parabolic", recorded)
+    assert run(["parab-h3", "classify", "--a", "0.5", "--b", "-1", "--tol", "1e-9",
+                "--out", str(tmp_path)]) == 0
+    assert tols == [1e-9]
+
+
+@pytest.mark.parametrize("argv", [
     ["mesh", "export", "--surface", "cone", "--phi-samples", "0"],
     ["mesh", "export", "--surface", "sphere", "--phi-samples", "1"],
     ["mesh", "export", "--surface", "sphere", "--s-samples", "1"],
@@ -270,6 +299,15 @@ def test_artifact_digest_covers_every_subcommand_and_surface():
                        if a.dest == "surface")
         used = {argv[argv.index("--surface") + 1] for argv in tool.RUNS if argv[:2] == [group, command]}
         assert used == set(choices)
+
+
+def test_artifact_digest_matches_record(monkeypatch):
+    # the artifact bytes of every subcommand, as the tool recorded them
+    tool = _load_tool("artifact_digest")
+    if np.__version__ != tool.EXPECTED_NUMPY:
+        pytest.skip(f"digest recorded under numpy {tool.EXPECTED_NUMPY}, running {np.__version__}")
+    monkeypatch.delenv("WEINGARTEN_OUT", raising=False)
+    assert tool.combined_digest(tool.digest_lines()) == tool.EXPECTED
 
 
 def test_seeded_digest_smoke():

@@ -67,9 +67,10 @@ def test_patch_derivatives_consistent_with_fd():
 
 def test_rotational_case_is_catenary_radius():
     spec = riemann_example(0.0, 0.0, 1.0, 0.0, (-1, 1))
-    for u in (-0.8, -0.3, 0.4, 0.9):
-        assert abs(spec.radius.value(u) - math.cosh(u)) < 1e-10
-        assert abs(spec.center_x.value(u)) == 0.0
+    us = np.array([-0.8, -0.3, 0.4, 0.9])
+    for u, r, f in zip(us.tolist(), spec.radius.value(us), spec.center_x.value(us)):
+        assert abs(r - math.cosh(u)) < 1e-10
+        assert abs(f) == 0.0
     H, _ = max_curvature_magnitudes(spec, 20, 24)
     assert H < 1e-6
 
@@ -84,28 +85,103 @@ def test_minimal_family_has_vanishing_mean_curvature(lam, mu):
 
 def test_center_drift_law_exact():
     spec = riemann_example(1.0, 0.0, 1.0, 0.0, (-1, 1))
-    for u in np.linspace(-0.9, 0.9, 7):
-        assert spec.center_x.d1(u) == pytest.approx(spec.radius.value(u) ** 2, rel=1e-15)
-        assert spec.center_y.d1(u) == 0.0
+    us = np.linspace(-0.9, 0.9, 7)
+    for f1, g1, r in zip(spec.center_x.d1(us), spec.center_y.d1(us), spec.radius.value(us).tolist()):
+        assert f1 == pytest.approx(r ** 2, rel=1e-15)
+        assert g1 == 0.0
 
 
 def test_symmetric_parameters_give_equal_centers():
     spec = riemann_example(0.5, 0.5, 1.0, 0.0, (-1, 1))
-    for u in np.linspace(-0.9, 0.9, 9):
-        assert spec.center_x.value(u) == spec.center_y.value(u)
-        assert spec.center_x.d1(u) == spec.center_y.d1(u)
+    us = np.linspace(-0.9, 0.9, 9)
+    for f, g, f1, g1 in zip(spec.center_x.value(us), spec.center_y.value(us),
+                            spec.center_x.d1(us), spec.center_y.d1(us)):
+        assert f == g
+        assert f1 == g1
 
 
 def test_radius_stays_positive_by_first_integral():
     # 1 + r'^2 = r^2 (I0 + c4 r^2) forces a positive minimum radius.
     spec = riemann_example(1.0, 0.0, 1.0, -0.5, (-2, 2))
     us = np.linspace(*spec.u_range, 200)
-    assert min(spec.radius.value(float(u)) for u in us) > 0
+    assert min(spec.radius.value(us)) > 0
 
 
 def test_riemann_rejects_nonpositive_radius():
     with pytest.raises(NonPositiveRadiusError):
         riemann_example(1.0, 0.0, 0.0, 0.0)
+
+
+def test_empty_u_range_is_rejected():
+    with pytest.raises(ValueError, match="u_min < u_max"):
+        riemann_example(1.0, 0.0, 1.0, 0.0, (0.0, 0.0))
+    with pytest.raises(ValueError, match="u_min < u_max"):
+        generalized_cone(0, 0.3, 0, 0.4, 1, 0.5, (1.0, 0.0))
+
+
+def test_riemann_curve_functions_refuse_u_outside_the_integrated_range():
+    spec = riemann_example(1.0, 0.5, 1.0, 0.1, (-0.5, 1.0))
+    lo, hi = spec.u_range
+    inside = np.array([lo, 0.0, hi])
+    for fn in (spec.center_x.value, spec.center_y.d1, spec.radius.d2):
+        assert len(fn(inside)) == 3
+        for u in (lo - 1e-6, hi + 1e-6, 3.0):
+            with pytest.raises(ValueError, match=f"u = {u} is outside"):
+                fn(np.array([0.0, u]))
+
+
+def test_sphere_radius_names_the_first_u_without_a_circle():
+    with pytest.raises(NonPositiveRadiusError, match=r"at u = 1\.0$"):
+        sphere_slice(1.0).radius.value(np.array([0.5, 1.0, -2.0]))
+
+
+def test_radius_identity_ignores_nan_points():
+    # a running max skips NaN; the residual must not turn NaN with one point
+    spec = riemann_example(1.0, 0.5, 1.0, 0.1)
+    r = spec.radius
+    holed = CurveFunc(lambda u: np.where(u > 0.5, np.nan, r.value(u)), r.d1, r.d2)
+    residual = riemann_identity_residual(dataclasses.replace(spec, radius=holed))
+    assert math.isfinite(residual) and residual <= riemann_identity_residual(spec)
+
+
+# numpy's ** differs from Python's (libm pow) at some of these points: on
+# the Riemann radius below at 5 squares and 567 fourth powers, on the sphere
+# at 491 cubes (numpy 2.4.6). The curve functions keep Python's.
+N_POW = 10001
+
+
+def test_curve_functions_equal_per_point_formulas():
+    def check(curve, us, value, d1, d2):
+        for fn, ref in zip((curve.value, curve.d1, curve.d2), (value, d1, d2)):
+            assert fn(us).tolist() == [ref(u) for u in us.tolist()]
+
+    us = np.linspace(-0.9, 0.9, 201)
+    check(CurveFunc.constant(1.5), us, lambda u: 1.5, lambda u: 0.0, lambda u: 0.0)
+    check(CurveFunc.linear(0.3, -0.7), us, lambda u: 0.3 + -0.7 * u, lambda u: -0.7, lambda u: 0.0)
+    p = np.polynomial.Polynomial([1.0, 0.5, 0.1, -0.2])
+    check(CurveFunc.poly([1.0, 0.5, 0.1, -0.2]), us,
+          lambda u: float(p(u)), lambda u: float(p.deriv()(u)), lambda u: float(p.deriv().deriv()(u)))
+    R = 1.3
+    check(sphere_slice(R).radius, np.linspace(-0.9, 0.9, N_POW), lambda u: math.sqrt(R * R - u * u),
+          lambda u: -u / math.sqrt(R * R - u * u), lambda u: -R * R / math.sqrt(R * R - u * u) ** 3)
+
+
+def test_riemann_derivatives_equal_per_point_formulas():
+    lam, mu = 1.0, 0.5
+    spec = riemann_example(lam, mu, 1.0, 0.1)
+    us = np.linspace(*spec.u_range, N_POW)
+    r, rp = spec.radius.value(us).tolist(), spec.radius.d1(us).tolist()
+    c4 = lam * lam + mu * mu
+    for coef, center in ((lam, spec.center_x), (mu, spec.center_y)):
+        assert center.d1(us).tolist() == [coef * v ** 2 for v in r]
+        assert center.d2(us).tolist() == [2.0 * coef * v * w for v, w in zip(r, rp)]
+    assert spec.radius.d2(us).tolist() == [(1.0 + c4 * v ** 4 + w * w) / v for v, w in zip(r, rp)]
+
+
+def test_riemann_partials_make_no_scalar_dense_call(cyclic_specs, dense_call_shapes):
+    spec = cyclic_specs["riemann"]
+    cyclic_patch(spec).partials(np.linspace(*spec.u_range, 30), np.linspace(0.0, 6.0, 8))
+    assert dense_call_shapes and all(len(shape) == 1 for shape in dense_call_shapes)
 
 
 # ---------------------------------------------------------------------------

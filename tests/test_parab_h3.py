@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,12 +41,12 @@ def test_rejects_nonpositive_height():
         integrate_parabolic(0.5, -1.0, 0.0)
 
 
-@pytest.mark.parametrize("z0, kw", [(1e-12, {}), (parab_h3.Z_FLOOR, {}), (0.5, {"z_floor": 0.5})])
-def test_rejects_height_at_or_below_z_floor(z0, kw):
+@pytest.mark.parametrize("z0", [1e-12, parab_h3.Z_FLOOR])
+def test_rejects_height_at_or_below_z_floor(z0):
     with pytest.raises(ValueError, match="z floor"):
-        integrate_parabolic(0.5, -1.0, z0, **kw)
+        integrate_parabolic(0.5, -1.0, z0)
     with pytest.raises(ValueError, match="z floor"):
-        parab_h3.classify(0.5, -1.0, z0, **kw)
+        parab_h3.classify(0.5, -1.0, z0)
 
 
 def test_refuses_start_whose_first_step_underflows():
@@ -328,6 +329,74 @@ def test_identity_residual_degenerate_line_exact_zero():
     assert derivative_identity_residual(prof) == 0.0
 
 
+def loop_identity_residual(profile, fd_step=1e-5, fd_budget=1e-7):
+    """Reference: the identity residual as a loop over the dense segments,
+    one scalar dense-output call per stencil point, ``math`` trigonometry
+    and a running ``max`` that skips NaN."""
+    a, b = profile.a, profile.b
+    traj = profile.trajectory
+    knots = traj.s
+    worst = 0.0
+
+    def tp_at(s):
+        _, z, th = traj(s)
+        return parab_h3.slope(a, b, z, th)
+
+    for i in range(len(knots) - 1):
+        s0, s1 = float(knots[i]), float(knots[i + 1])
+        if abs(s1 - s0) < 4 * fd_step:
+            continue
+        m = 0.5 * (s0 + s1)
+        d_full = (tp_at(m + fd_step) - tp_at(m - fd_step)) / (2 * fd_step)
+        d_half = (tp_at(m + fd_step / 2) - tp_at(m - fd_step / 2)) / fd_step
+        tpp = (4 * d_half - d_full) / 3
+        fd_err = abs(d_half - d_full) / 3
+        _, z, th = traj(m)
+        half = a / 2 + b * math.cos(th)
+        if fd_err * abs(half * z) > fd_budget:
+            continue
+        tp = tp_at(m)
+        res = -tp * math.sin(th) * (b * z * tp + half) + half * z * tpp
+        worst = max(worst, abs(res))
+    return float(worst)
+
+
+IDENTITY_PROFILES = {
+    "fig41a": (0.5, -1.0, 1.0),
+    "fig41b": (0.5, -0.8, 1.0),
+    "fig42a": (0.5, -0.2, 1.0),
+    "fig42b": (0.5, 0.3, 1.0),
+    "circle": (0.8, -0.2, 1.0),
+    "line": (1.0, 0.0, 2.0),
+    "seed12-item1": (0.1638061218040114, -0.7756117805076038, 0.6832817126915248),
+    "seed7-item298": (0.34330582560125117, 0.8416437588815375, 0.5115280980712541),
+    "seed12-item460": (0.7867775423808142, 0.5887712342921316, 1.2503223380278465),
+    "seed2-item751": (0.5380759957127557, -0.5385139913506788, 0.6529625220742444),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_PROFILES)
+def test_identity_residual_equals_knot_loop(name):
+    prof = integrate_parabolic(*IDENTITY_PROFILES[name])
+    assert derivative_identity_residual(prof) == loop_identity_residual(prof)
+
+
+def test_identity_residual_ignores_nan_samples_as_the_loop_does(parab_figure_profiles):
+    # one interior dense segment made NaN
+    prof = parab_figure_profiles[(0.5, -0.2)]
+    states = prof.trajectory.states.copy()
+    states[len(states) // 2] = np.nan
+    prof = dataclasses.replace(prof, trajectory=dataclasses.replace(prof.trajectory, states=states))
+    residual = derivative_identity_residual(prof)
+    assert math.isfinite(residual) and residual > 0
+    assert residual == loop_identity_residual(prof)
+
+
+def test_identity_residual_makes_five_dense_calls(parab_figure_profiles, dense_call_shapes):
+    derivative_identity_residual(parab_figure_profiles[(0.5, -0.2)])
+    assert len(dense_call_shapes) <= 5 and all(len(shape) == 1 for shape in dense_call_shapes)
+
+
 # ---------------------------------------------------------------------------
 # Invariant surface patch
 # ---------------------------------------------------------------------------
@@ -346,7 +415,7 @@ def test_patch_circle_case():
 
 def test_patch_horosphere_umbilic():
     pp = parab_patch(integrate_parabolic(1.0, 0.0, 2.0))
-    k1, k2 = pp.kappas(5.0)
+    _, _, _, _, _, k1, k2 = pp.profile.sample(201)
     assert k1 == pytest.approx(1.0, abs=1e-14)
     assert k2 == pytest.approx(1.0, abs=1e-14)
     assert pp.relation_residual_max < 1e-14

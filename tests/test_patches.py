@@ -3,6 +3,7 @@ here as the reference: the position and every entry of the partials tuple
 must be bit-identical to the stack of scalar evaluations."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,7 +63,12 @@ def scalar_parab(profile):
 
 
 def scalar_cyclic(spec):
-    f, g, r = spec.center_x, spec.center_y, spec.radius
+    def one_point(curve):
+        # the curve functions take arrays of u: call them on one u at a time
+        return SimpleNamespace(**{name: lambda u, fn=getattr(curve, name): float(fn(np.array([u]))[0])
+                                  for name in ("value", "d1", "d2")})
+
+    f, g, r = map(one_point, (spec.center_x, spec.center_y, spec.radius))
 
     def pos(u, v):
         rv = r.value(u)

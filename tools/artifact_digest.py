@@ -11,7 +11,10 @@ Usage, from the repository root:
     python tools/artifact_digest.py | tail -1    # combined digest only
 
 The package is imported from ``src/`` next to this script, so the tool
-measures the checkout it sits in.
+measures the checkout it sits in. ``EXPECTED`` records the combined digest
+with the numpy version it was recorded under; the test suite checks it
+under that version. A change that moves artifact bytes on purpose records
+the new digest here.
 """
 
 import hashlib
@@ -23,6 +26,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from weingarten import cli  # noqa: E402
+
+EXPECTED = "3ae6f1a6f7b24fec20caf328a25e0f79bace178be0372ff091ac619808136f37"
+EXPECTED_NUMPY = "2.4.6"
 
 ROT = ["--a", "2", "--b", "-2", "--z0", "3"]
 PARAB_CASES = (("0.5", "-1"), ("0.5", "-0.8"), ("0.5", "-0.2"), ("0.5", "0.3"))
@@ -70,12 +76,22 @@ def digest_lines():
                 yield f"  {hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
 
 
-def main() -> int:
+def combined_digest(lines) -> str:
+    """SHA-256 over ``lines``, each ended by a newline."""
     combined = hashlib.sha256()
-    for line in digest_lines():
+    for line in lines:
         combined.update(line.encode() + b"\n")
+    return combined.hexdigest()
+
+
+def _echoed(lines):
+    for line in lines:
         print(line, flush=True)
-    print(f"combined {combined.hexdigest()}")
+        yield line
+
+
+def main() -> int:
+    print(f"combined {combined_digest(_echoed(digest_lines()))}")
     return 0
 
 
