@@ -7,7 +7,6 @@ curvature relation a*H + b*K = c.
 """
 
 from .errors import (
-    BoundViolatedError,
     DegeneratePointError,
     GuardViolationError,
     NonPositiveRadiusError,
@@ -36,7 +35,6 @@ from .odekit import Event, IvpSpec, Trajectory, find_root, integrate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolatedError",
     "CurvatureField",
     "Curvatures",
     "DegeneratePointError",

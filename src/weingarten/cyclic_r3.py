@@ -311,21 +311,19 @@ class TrigCoefficients:
         return out
 
 
-def residual_samples(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float,
-                     n_samples: int, flip_normal: bool = False):
+def residual_samples(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float, n_samples: int):
     vs = 2 * math.pi * np.arange(n_samples) / n_samples
-    field = geomcore.curvature_field(cyclic_patch(spec), [u], vs, flip_normal)
+    field = geomcore.curvature_field(cyclic_patch(spec), [u], vs)
     return vs, params.residual(field.H, field.K)
 
 
 def trig_coefficients(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float,
-                      n_samples: int = 64, n_max: int = 12,
-                      flip_normal: bool = False) -> TrigCoefficients:
+                      n_samples: int = 64, n_max: int = 12) -> TrigCoefficients:
     """Uniform v-sampling of the residual on [0, 2pi) and its DFT up to
     order ``n_max``. Requires n_samples >= 2*n_max + 3 (aliasing margin)."""
     if n_samples < 2 * n_max + 3:
         raise ValueError(f"n_samples = {n_samples} < 2*n_max + 3 = {2 * n_max + 3}")
-    _, res = residual_samples(spec, params, u, n_samples, flip_normal)
+    _, res = residual_samples(spec, params, u, n_samples)
     spectrum = np.fft.rfft(res)
     A = np.empty(n_max + 1)
     B = np.zeros(n_max + 1)
@@ -381,9 +379,9 @@ def coefficients_json(tc: TrigCoefficients, tol: float = 1e-8) -> dict:
 
 
 def export_residual_csv(spec: CyclicSurfaceSpec, params: WeingartenParams, path,
-                        n_u: int = 20, n_v: int = 32, flip_normal: bool = False) -> None:
+                        n_u: int = 20, n_v: int = 32) -> None:
     """Relation residual over the (u, v) grid: columns u,v,residual."""
     us = np.linspace(*spec.u_range, n_u)
     vs = np.linspace(0.0, 2 * math.pi, n_v, endpoint=False)
-    field = geomcore.curvature_field(cyclic_patch(spec), us, vs, flip_normal)
+    field = geomcore.curvature_field(cyclic_patch(spec), us, vs)
     write_csv(path, ["u", "v", "residual"], [field.u, field.v, params.residual(field.H, field.K)])

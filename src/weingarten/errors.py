@@ -41,15 +41,6 @@ class RootNotConvergedError(WeingartenError):
         self.bracket = bracket
 
 
-class BoundViolatedError(WeingartenError):
-    """A proved analytic bound failed at a sample (implementation bug signal)."""
-
-    def __init__(self, message, s=None, value=None):
-        super().__init__(message)
-        self.s = s
-        self.value = value
-
-
 class NotCircleCaseError(WeingartenError):
     """Parameters do not satisfy the circle condition a^2 + 4b^2 + 4b = 0."""
 

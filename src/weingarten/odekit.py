@@ -65,8 +65,7 @@ class Event:
 
     g is compared only at the ends of each accepted step, so an even number
     of sign changes inside one step (g dipping across zero and back) goes
-    undetected. Bound the step with ``IvpSpec.max_step`` below the scale on
-    which g can turn if such crossings matter.
+    undetected.
     """
 
     fn: Callable[[float, np.ndarray], float]
@@ -83,14 +82,11 @@ class IvpSpec:
     y0: Sequence[float]
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = np.inf
     events: tuple[Event, ...] = ()
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
 
     @property
     def dim(self) -> int:
@@ -196,7 +192,7 @@ def _rms_norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _initial_step(rhs, s0, y0, f0, direction, rtol, atol, max_step):
+def _initial_step(rhs, s0, y0, f0, direction, rtol, atol):
     # Hairer-Norsett-Wanner starting-step heuristic (deterministic).
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
@@ -209,7 +205,7 @@ def _initial_step(rhs, s0, y0, f0, direction, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1)
 
 
 def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], bool] = None) -> Trajectory:
@@ -237,7 +233,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
 
     direction = 1.0 if s_end >= s else -1.0
     f0 = np.asarray(rhs(s, y), dtype=float)
-    h = _initial_step(rhs, s, y, f0, direction, spec.rtol, spec.atol, spec.max_step)
+    h = _initial_step(rhs, s, y, f0, direction, spec.rtol, spec.atol)
     h = min(h, abs(s_end - s))
 
     grid = [s]
@@ -264,7 +260,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
         remaining = abs(s_end - s)
         if remaining < h_min:
             break  # at s_end within resolution
-        h = min(h, spec.max_step, remaining)
+        h = min(h, remaining)
         last_step = h >= remaining
         if h < h_min:
             return finish(UNDERFLOW)

@@ -110,10 +110,6 @@ class ParabolicProfile:
     cause: str  # horizon | z_floor | denominator | angle_span | guard | step_underflow
 
     @property
-    def c(self) -> float:
-        return 1.0
-
-    @property
     def s_max(self) -> float:
         return self.trajectory.s_end
 
@@ -151,10 +147,6 @@ class ParabolicProfile:
     def max_relation_residual(self) -> float:
         _, _, z, theta, tp, _, _ = self.sample(2000)
         return float(np.max(np.abs(relation_residual(self.a, self.b, z, theta, tp))))
-
-    def time_at_angle(self, target: float) -> float:
-        """First s with theta(s) = target (theta is monotone)."""
-        return self.trajectory.time_at(2, target)
 
 
 def _solve(a: float, b: float, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
@@ -230,7 +222,8 @@ def integrate_parabolic(
     tp0 = initial_slope(a, b, z0)
     if tp0 != 0.0 and np.any(tp[interior] * np.sign(tp0) < -1e-12):
         raise OutOfScopeParamsError(
-            "theta' changed sign along the trajectory; outside the studied families"
+            f"theta' changed sign along the trajectory at tol = {tol:g}: the parameters are outside"
+            " the studied families, or the sign change is integration error at that tolerance"
         )
     return profile
 
@@ -410,8 +403,8 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
         if not (profile.cause == "angle_span" and reached_pi):
             return False, notes
         # translation invariance over the two integrated periods
-        T = profile.time_at_angle(2 * math.pi)
         traj = profile.trajectory
+        T = traj.time_at(2, 2 * math.pi)
         ss = np.linspace(0.0, min(T, profile.s_max - T), 40)
         defect = traj.shift_defect(T, ss, (traj(T)[0], 0.0, 2 * math.pi))
         notes["period"] = float(T)

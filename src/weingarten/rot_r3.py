@@ -14,18 +14,20 @@ surface patch that is cross-checked against the relation with geomcore.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geomcore, meshes, odekit
 from .csvio import write_csv
-from .errors import BoundViolatedError, DegeneratePointError, GuardViolationError
+from .errors import DegeneratePointError, GuardViolationError
 from .geomcore import SurfacePatch, WeingartenParams, cos_sin, grid_vec, profile_columns, profile_spec
 from .odekit import Event, find_root, integrate
 
 BOUND_SLACK = 1e-9
 DEFAULT_SAMPLES_PER_PERIOD = 2000
+CHECK_SAMPLES = 2000  # uniform samples of the first-integral and slope-bound checks
+N_OFFSETS = 50        # offsets s at which periodicity_check compares y(s + T) - y(s)
 
 
 def validate_params(params: WeingartenParams) -> WeingartenParams:
@@ -148,10 +150,6 @@ class HyperbolicProfile:
         x, z, theta = states[:, 0], states[:, 1], states[:, 2]
         return s, x, z, theta, slope(self.params, z, theta)
 
-    def time_at_angle(self, target: float) -> float:
-        """First s with theta(s) = target (theta is strictly decreasing)."""
-        return self.trajectory.time_at(2, target)
-
 
 def _solve(p: WeingartenParams, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
@@ -202,15 +200,13 @@ def integrate_profile(
             f"theta' = {tp[k]} >= 0 at s = {traj.s[k]}; monotone turning violated"
         )
 
-    profile = HyperbolicProfile(
+    # theta is strictly decreasing, so each angle is reached exactly once.
+    period = traj.time_at(2, -2.0 * math.pi)
+    quarter_times = tuple(traj.time_at(2, t) for t in (-math.pi / 2, -math.pi, -3 * math.pi / 2))
+    return HyperbolicProfile(
         params=p, z0=z0, n_periods=n_periods, tol=tol,
-        trajectory=traj, period=np.nan, quarter_times=(np.nan,) * 3, bounds=bounds,
+        trajectory=traj, period=period, quarter_times=quarter_times, bounds=bounds,
     )
-    profile.period = profile.time_at_angle(-2.0 * math.pi)
-    profile.quarter_times = tuple(
-        profile.time_at_angle(t) for t in (-math.pi / 2, -math.pi, -3 * math.pi / 2)
-    )
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +226,10 @@ def _first_integral_defect(profile: HyperbolicProfile, z, theta):
     return z * z - p.a * z * ct - p.b * ct * ct - profile.bounds.f_z0
 
 
-def first_integral_residual(profile: HyperbolicProfile, n: int = 2000) -> ConservationReport:
+def first_integral_residual(profile: HyperbolicProfile) -> ConservationReport:
     """Residual of the first integral along the trajectory, plus the worst
     deviation from the closed-form height."""
-    _, _, z, theta, _ = profile.sample(n)
+    _, _, z, theta, _ = profile.sample(CHECK_SAMPLES)
     res = _first_integral_defect(profile, z, theta)
     dev = z - closed_form_height(profile.params, profile.z0, theta)
     return ConservationReport(float(np.max(np.abs(res))), float(np.max(np.abs(dev))))
@@ -241,18 +237,15 @@ def first_integral_residual(profile: HyperbolicProfile, n: int = 2000) -> Conser
 
 @dataclass(frozen=True)
 class BoundsReport:
-    eta: float
-    delta2: float
-    eta2: float
-    M: float
-    M_sharp: float
-    formula_bound_valid: bool
+    """Measured extremes of the bounded quantities; the bounds themselves
+    are ``profile.bounds``."""
+
     max_theta_prime: float
     min_numerator: float
-    violations: tuple
+    violations: tuple  # (name, s, value) of the first sample breaking each bound
 
 
-def theta_prime_bounds_check(profile: HyperbolicProfile, n: int = 2000, raise_on_violation: bool = True) -> BoundsReport:
+def theta_prime_bounds_check(profile: HyperbolicProfile) -> BoundsReport:
     """Verify the slope bounds at all samples.
 
     Always checks theta' <= M_sharp (the closed-form bound) and the
@@ -262,7 +255,7 @@ def theta_prime_bounds_check(profile: HyperbolicProfile, n: int = 2000, raise_on
     """
     b = profile.bounds
     p = profile.params
-    s, _, z, theta, tp = profile.sample(n)
+    s, _, z, theta, tp = profile.sample(CHECK_SAMPLES)
     numerator = p.a * np.cos(theta) - 2 * z
     violations = []
     if b.formula_bound_valid:
@@ -278,12 +271,7 @@ def theta_prime_bounds_check(profile: HyperbolicProfile, n: int = 2000, raise_on
     if np.any(bad_eta):
         k = int(np.argmax(bad_eta))
         violations.append(("numerator_below_eta", float(s[k]), float(numerator[k])))
-    if violations and raise_on_violation:
-        name, s_bad, val = violations[0]
-        raise BoundViolatedError(f"{name} at s={s_bad}: {val}", s=s_bad, value=val)
     return BoundsReport(
-        eta=b.eta, delta2=b.delta2, eta2=b.eta2, M=b.M,
-        M_sharp=b.M_sharp, formula_bound_valid=b.formula_bound_valid,
         max_theta_prime=float(np.max(tp)),
         min_numerator=float(np.min(numerator)),
         violations=tuple(violations),
@@ -299,13 +287,13 @@ class PeriodicityReport:
     translation_defect: float    # worst of the three shift identities over sampled s
 
 
-def periodicity_check(profile: HyperbolicProfile, n_offsets: int = 50) -> PeriodicityReport:
+def periodicity_check(profile: HyperbolicProfile) -> PeriodicityReport:
     if profile.n_periods < 2:
         raise ValueError("periodicity check needs at least 2 integrated periods")
     T = profile.period
     traj = profile.trajectory
     x_T, z_T, th_T = traj(T)
-    s = np.linspace(0.0, profile.s_end - T, n_offsets)
+    s = np.linspace(0.0, profile.s_end - T, N_OFFSETS)
     return PeriodicityReport(
         T=T,
         x_T=float(x_T),
@@ -370,17 +358,17 @@ def polyline_self_intersections(points: np.ndarray):
     return list(zip(i[k].tolist(), t.tolist(), j[k].tolist(), w.tolist()))
 
 
-def self_intersections(profile: HyperbolicProfile, samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD):
+def self_intersections(profile: HyperbolicProfile):
     """Profile self-intersections as (s_a, s_b, point) with s_a < s_b.
 
     Found by exact segment-segment intersection over the dense polyline
-    (``samples_per_period`` points per period), then refined by re-sampling
+    (DEFAULT_SAMPLES_PER_PERIOD points per period), then refined by re-sampling
     the dense output locally around each candidate. The curve continues to
     s < 0 as its mirror image about x = 0, so a return of x to zero at some
     s* > 0 is a crossing of the parameter pair (-s*, s*); those axis
     crossings are included (with a negative first parameter).
     """
-    n = samples_per_period * profile.n_periods + 1
+    n = DEFAULT_SAMPLES_PER_PERIOD * profile.n_periods + 1
     s, x, z, _, _ = profile.sample(n)
     ds = s[1] - s[0]
     raw = polyline_self_intersections(np.column_stack([x, z]))
@@ -431,18 +419,6 @@ class StructureReport:
     gauss_sign_arcs: list         # (s_lo, s_hi, sign, expected_sign)
     gauss_sign_ok: bool
     symmetry_defect: float
-    all_ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.all_ok = bool(
-            self.monotonicity_ok
-            and self.z_max_at_start
-            and self.z_min_at_half_period
-            and self.one_vertical_per_half
-            and all(c >= 1 for c in self.intersections_per_period)
-            and self.gauss_sign_ok
-            and self.symmetry_defect < 1e-7
-        )
 
 
 def _monotone(values: np.ndarray, direction: str) -> bool:
@@ -451,7 +427,7 @@ def _monotone(values: np.ndarray, direction: str) -> bool:
     return bool(np.all(d >= -tol)) if direction == "increasing" else bool(np.all(d <= tol))
 
 
-def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD) -> StructureReport:
+def structure_report(profile: HyperbolicProfile) -> StructureReport:
     """Check the tabulated monotonicity pattern, the extrema and vertical
     points of one period, locate self-intersections, verify the sign of the
     Gauss curvature on the arcs separated by vertical points (via geomcore on
@@ -473,7 +449,7 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
         monotonicity.append(verdict)
     monotonicity_ok = all(v["x"] and v["z"] for v in monotonicity)
 
-    s_period = np.linspace(0.0, T, 4 * samples_per_period)
+    s_period = np.linspace(0.0, T, 4 * DEFAULT_SAMPLES_PER_PERIOD)
     states_period = traj(s_period)
     z_period = states_period[:, 1]
     z_max_at_start = bool(profile.z0 >= np.max(z_period) - 1e-9)
@@ -497,7 +473,7 @@ def structure_report(profile: HyperbolicProfile, samples_per_period: int = DEFAU
     # first and last loop in half. Fold midpoints modulo T and count crossing
     # classes: by the separately verified translation invariance, each class
     # occurs once in every period of the periodic extension.
-    intersections = self_intersections(profile, samples_per_period)
+    intersections = self_intersections(profile)
     folded = sorted(((sa + sb) / 2) % T for sa, sb, _ in intersections)
     classes = []
     for m in folded:
@@ -548,7 +524,6 @@ class RevolvedSurface:
     patch: SurfacePatch
     vertices: np.ndarray
     faces: np.ndarray
-    relation_residual: float
 
 
 def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
@@ -589,31 +564,16 @@ def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
     )
 
 
-def revolve(
-    profile: HyperbolicProfile,
-    phi_samples: int = 64,
-    s_samples: int = 200,
-    check: bool = True,
-    residual_tol: float = 1e-6,
-) -> RevolvedSurface:
+def revolve(profile: HyperbolicProfile, phi_samples: int = 64, s_samples: int = 200) -> RevolvedSurface:
     """Revolve the profile about the x-axis into a quad mesh + patch.
 
-    Requires z > 0 along the profile (DegeneratePointError otherwise). With
-    check=True the relation residual a*H + b*K - 1 is verified below
-    ``residual_tol`` on a coarse grid through geomcore.
+    Requires z > 0 along the profile (DegeneratePointError otherwise). The
+    relation a*H + b*K = 1 on the patch is the ``surface_relation`` verdict
+    of ``report``.
     """
     patch = profile_patch(profile)
     verts, faces = meshes.sample_grid_mesh(patch, s_samples, phi_samples, wrap_v=True)
-    residual = np.nan
-    if check:
-        u = np.linspace(0.0, profile.s_end, 30 * profile.n_periods)
-        v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-        residual, _ = geomcore.weingarten_residual(patch, profile.params, u, v)
-        if residual >= residual_tol:
-            raise GuardViolationError(
-                f"revolved surface violates the defining relation: residual {residual:.3e}"
-            )
-    return RevolvedSurface(patch=patch, vertices=verts, faces=faces, relation_residual=float(residual))
+    return RevolvedSurface(patch=patch, vertices=verts, faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +589,17 @@ def export_curve_csv(profile: HyperbolicProfile, path, samples_per_period: int =
 
 
 def report(profile: HyperbolicProfile, structure: StructureReport = None) -> dict:
-    """JSON-ready verification report."""
+    """JSON-ready verification report; the only place that decides the
+    verdicts of a rotational profile."""
     cons = first_integral_residual(profile)
-    bounds_rep = theta_prime_bounds_check(profile, raise_on_violation=False)
+    bounds_rep = theta_prime_bounds_check(profile)
     per = periodicity_check(profile) if profile.n_periods >= 2 else None
     if structure is None:
         structure = structure_report(profile)
     u = np.linspace(0.0, profile.s_end, 25 * profile.n_periods)
     v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
     res, _ = geomcore.weingarten_residual(profile_patch(profile), profile.params, u, v)
+    bounds = profile.bounds
     verdicts = {
         "first_integral": cons.max_residual < 1e-8,
         "closed_form_height": cons.max_closed_form_deviation < 1e-8,
@@ -663,10 +625,9 @@ def report(profile: HyperbolicProfile, structure: StructureReport = None) -> dic
         "T1": profile.quarter_times[0],
         "T2": profile.quarter_times[1],
         "T3": profile.quarter_times[2],
-        "bounds": {"eta": bounds_rep.eta, "delta2": bounds_rep.delta2,
-                   "eta2": bounds_rep.eta2, "M": bounds_rep.M,
-                   "M_sharp": bounds_rep.M_sharp,
-                   "formula_bound_valid": bounds_rep.formula_bound_valid},
+        "bounds": {"eta": bounds.eta, "delta2": bounds.delta2, "eta2": bounds.eta2,
+                   "M": bounds.M, "M_sharp": bounds.M_sharp,
+                   "formula_bound_valid": bounds.formula_bound_valid},
         "first_integral_residual": cons.max_residual,
         "closed_form_deviation": cons.max_closed_form_deviation,
         "periodicity": None if per is None else {

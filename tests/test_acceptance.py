@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from weingarten import cyclic_r3, parab_h3, rot_r3
+from weingarten import cyclic_r3, geomcore, parab_h3, rot_r3
 from weingarten.geomcore import WeingartenParams
 
 FIG3 = WeingartenParams(2, -2, 1)
@@ -33,7 +33,7 @@ def timed_fig3():
 def test_criterion_1_rotational_figure(timed_fig3):
     profile, elapsed = timed_fig3
     cons = rot_r3.first_integral_residual(profile)
-    per = rot_r3.periodicity_check(profile, n_offsets=50)
+    per = rot_r3.periodicity_check(profile)
     structure = rot_r3.structure_report(profile)
 
     # extrema counts inside one period: z' = sin(theta) vanishes once in (0, T)
@@ -59,9 +59,11 @@ def test_criterion_1_rotational_figure(timed_fig3):
 def test_criterion_2_slope_bounds(timed_fig3):
     profile, _ = timed_fig3
     rep = rot_r3.theta_prime_bounds_check(profile)
+    M = profile.bounds.M
     checks = {
-        "M_matches_formula_1e12": abs(rep.M - (-1 / math.sqrt(5))) < 1e-12,
-        "theta_prime_below_M": rep.max_theta_prime <= rep.M + 1e-9,
+        "M_matches_formula_1e12": abs(M - (-1 / math.sqrt(5))) < 1e-12,
+        "theta_prime_below_M": rep.max_theta_prime <= M + 1e-9,
+        "no_bound_violations": rep.violations == (),
         "initial_slope_minus_2": abs(rot_r3.slope(FIG3, 3.0, 0.0) + 2.0) < 1e-9,
     }
     _verdict(2, "slope bounds M = -1/sqrt(5), theta' <= M, theta'(0) = -2", checks)
@@ -69,8 +71,10 @@ def test_criterion_2_slope_bounds(timed_fig3):
 
 def test_criterion_3_revolved_surface_relation(timed_fig3):
     profile, _ = timed_fig3
-    surf = rot_r3.revolve(profile, phi_samples=32, s_samples=100, check=True)
-    checks = {"relation_residual_below_1e6": surf.relation_residual < 1e-6}
+    u = np.linspace(0.0, profile.s_end, 30 * profile.n_periods)
+    v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    res, _ = geomcore.weingarten_residual(rot_r3.profile_patch(profile), profile.params, u, v)
+    checks = {"relation_residual_below_1e6": res < 1e-6}
     _verdict(3, "revolved surface satisfies a*H + b*K = 1 under geomcore", checks)
 
 
@@ -176,12 +180,11 @@ def test_criterion_9_property_sweeps():
         a, b, z0 = draw_rot_triple(rng)
         prof = rot_r3.integrate_profile(WeingartenParams(a, b, 1), z0, n_periods=3, tol=1e-10)
         cons = rot_r3.first_integral_residual(prof)
-        bounds = rot_r3.theta_prime_bounds_check(prof, raise_on_violation=False)
+        bounds = rot_r3.theta_prime_bounds_check(prof)
         per = rot_r3.periodicity_check(prof)
-        surf = rot_r3.revolve(prof, phi_samples=12, s_samples=40, check=False)
+        surf = rot_r3.revolve(prof, phi_samples=12, s_samples=40)
         u = np.linspace(0.0, prof.s_end, 40)
         v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-        from weingarten import geomcore
         res, _ = geomcore.weingarten_residual(surf.patch, prof.params, u, v)
         good = (
             cons.max_residual < 1e-8

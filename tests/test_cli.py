@@ -112,7 +112,7 @@ def test_mesh_export_rot_equals_revolved_mesh(tmp_path):
     assert run(["mesh", "export", "--surface", "rot", "--a", "2", "--b", "-2", "--z0", "3",
                 "--s-samples", "20", "--phi-samples", "8", "--out", str(tmp_path)]) == 0
     profile = rot_r3.integrate_profile(WeingartenParams(2, -2, 1), 3.0, n_periods=1, tol=1e-10)
-    surf = rot_r3.revolve(profile, phi_samples=8, s_samples=20, check=False)
+    surf = rot_r3.revolve(profile, phi_samples=8, s_samples=20)
     meshes.write_obj(tmp_path / "revolved.obj", surf.vertices, surf.faces)
     assert (tmp_path / "surface.obj").read_bytes() == (tmp_path / "revolved.obj").read_bytes()
 
@@ -221,6 +221,16 @@ def test_empty_or_outside_cyclic_range_is_usage_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["integrate", "classify"])
+def test_loose_tol_sign_change_names_the_tolerance(tmp_path, capsys, command):
+    # Fig. 4.1b lies inside the studied families; at tol 1e-3 integration
+    # error flips the sign of theta', and the usage error must say so.
+    assert run(["parab-h3", command, "--a", "0.5", "--b", "-0.8", "--tol", "1e-3",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "changed sign" in err and "tol = 0.001" in err and "integration error" in err
+
+
 def test_parab_classify_integrates_with_tol(tmp_path, monkeypatch):
     tols = []
     integrate = parab_h3.integrate_parabolic
@@ -318,6 +328,22 @@ def test_seeded_digest_smoke():
     assert [line.split()[:3] for line in lines] == [[name, "seed=1", f"items={n}"] for name, n in items.items()]
     assert all(len(line.split()[3]) == 64 for line in lines)
     assert list(tool.digest_lines(seeds=[1], items=items)) == lines
+
+
+def test_seeded_digest_exits_1_on_a_mismatch_under_the_recorded_numpy(monkeypatch, capsys):
+    tool = _load_tool("seeded_digest")
+    monkeypatch.setattr(tool, "digest_lines", lambda: iter(["rot_verify seed=1 items=1 00"]))
+    combined = tool.hashlib.sha256(b"rot_verify seed=1 items=1 00\n").hexdigest()
+    monkeypatch.setattr(tool, "EXPECTED_NUMPY", np.__version__)
+    assert tool.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"combined {combined}"
+    assert tool.EXPECTED in err
+    monkeypatch.setattr(tool, "EXPECTED", combined)
+    assert tool.main() == 0
+    monkeypatch.setattr(tool, "EXPECTED", "0" * 64)
+    monkeypatch.setattr(tool, "EXPECTED_NUMPY", "0.0.0")
+    assert tool.main() == 0
 
 
 def test_traced_layers_resolve_in_the_library():

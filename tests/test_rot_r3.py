@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from weingarten import geomcore, rot_r3
-from weingarten.errors import BoundViolatedError, DegeneratePointError
+from weingarten.errors import DegeneratePointError
 from weingarten.geomcore import SurfacePatch, WeingartenParams, grid_vec
 
 FIG3 = WeingartenParams(2, -2, 1)
@@ -99,31 +100,34 @@ def test_bound_constants_hand_values(fig3_profile):
 
 def test_theta_prime_bounds_hold(fig3_profile):
     rep = rot_r3.theta_prime_bounds_check(fig3_profile)
+    b = fig3_profile.bounds
     assert rep.violations == ()
-    assert rep.max_theta_prime <= rep.M + 1e-9
-    assert rep.min_numerator >= rep.eta - 1e-9
+    assert rep.max_theta_prime <= b.M + 1e-9
+    assert rep.min_numerator >= b.eta - 1e-9
     # theta'(0) = -2 is below the upper bound
-    assert -2.0 <= rep.M
+    assert -2.0 <= b.M
 
 
 def test_formula_bound_invalid_configs_fall_back_to_sharp():
     # For these coefficients the textbook constant is not a true bound
     # (denominator bound fails for cos(theta) < 0); the check must use the
-    # closed-form sharp bound and not raise.
+    # closed-form sharp bound and report no violation.
     prof = rot_r3.integrate_profile(WeingartenParams(1.1076, -1.8245, 1), 4.4359, n_periods=1, tol=1e-9)
     rep = rot_r3.theta_prime_bounds_check(prof)
-    assert not rep.formula_bound_valid
-    assert rep.max_theta_prime <= rep.M_sharp + 1e-8
-    assert rep.max_theta_prime > rep.M  # the formula bound really is violated
+    b = prof.bounds
+    assert not b.formula_bound_valid
+    assert rep.violations == ()
+    assert rep.max_theta_prime <= b.M_sharp + 1e-8
+    assert rep.max_theta_prime > b.M  # the formula bound really is violated
 
 
-def test_bound_violation_detected_on_corrupted_profile(fig3_profile):
-    # Corrupting the bound constants must trip the checker.
-    import dataclasses
+def test_bound_violation_detected_on_corrupted_profile(fig3_profile, fig3_structure):
+    # Corrupting the bound constants must trip the checker and the verdict.
     bad_bounds = dataclasses.replace(fig3_profile.bounds, M=-10.0, M_sharp=-10.0)
     bad = dataclasses.replace(fig3_profile, bounds=bad_bounds)
-    with pytest.raises(BoundViolatedError):
-        rot_r3.theta_prime_bounds_check(bad)
+    rep = rot_r3.theta_prime_bounds_check(bad)
+    assert [v[0] for v in rep.violations] == ["theta_prime_above_M", "theta_prime_above_sharp_bound"]
+    assert rot_r3.report(bad, structure=fig3_structure)["verdicts"]["theta_prime_bounds"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +228,24 @@ def test_structure_mirror_symmetry(fig3_structure):
     assert fig3_structure.symmetry_defect < 1e-7
 
 
-def test_structure_all_ok(fig3_structure):
-    assert fig3_structure.all_ok
-
-
 # ---------------------------------------------------------------------------
 # Revolution surface
 # ---------------------------------------------------------------------------
 
+def revolved_relation_residual(profile):
+    """max |a H + b K - 1| on the revolved patch, on a 30 n_periods x 8 grid."""
+    u = np.linspace(0.0, profile.s_end, 30 * profile.n_periods)
+    v = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    res, _ = geomcore.weingarten_residual(rot_r3.profile_patch(profile), profile.params, u, v)
+    return res
+
+
 def test_revolve_satisfies_relation(fig3_profile):
-    surf = rot_r3.revolve(fig3_profile, phi_samples=32, s_samples=80)
-    assert surf.relation_residual < 1e-6
+    assert revolved_relation_residual(fig3_profile) < 1e-6
 
 
 def test_revolve_mesh_vertex_count(fig3_profile):
-    surf = rot_r3.revolve(fig3_profile, phi_samples=24, s_samples=50, check=False)
+    surf = rot_r3.revolve(fig3_profile, phi_samples=24, s_samples=50)
     assert len(surf.vertices) == 24 * 50
     assert all(len(f) == 4 for f in surf.faces)
 
@@ -310,6 +317,23 @@ def test_report_verdicts(fig3_profile, fig3_structure):
     assert abs(rep["bounds"]["M"] + 1 / math.sqrt(5)) < 1e-12
 
 
+@pytest.mark.parametrize("field, value, verdict", [
+    ("monotonicity_ok", False, "monotonicity_table"),
+    ("z_max_at_start", False, "extrema"),
+    ("z_min_at_half_period", False, "extrema"),
+    ("one_vertical_per_half", False, "vertical_points"),
+    ("intersections_per_period", [0, 0, 0], "self_intersections"),
+    ("gauss_sign_ok", False, "gauss_sign"),
+    ("symmetry_defect", 1.0, "mirror_symmetry"),
+])
+def test_each_structure_field_drives_its_own_verdict(fig3_profile, fig3_structure, field, value, verdict):
+    structure = dataclasses.replace(fig3_structure, **{field: value})
+    verdicts = rot_r3.report(fig3_profile, structure=structure)["verdicts"]
+    assert len(verdicts) == 12
+    assert verdicts.pop(verdict) is False
+    assert all(v is True for v in verdicts.values()), verdicts
+
+
 def test_mirror_symmetry_verdict_flips_on_scaled_height(fig3_profile, scaled_height):
     # The backward solve starts from the true (z0, tol), so a forward branch
     # with z scaled by 1.05 is no longer its mirror image.
@@ -340,9 +364,8 @@ def test_random_admissible_profiles(seed):
         cons = rot_r3.first_integral_residual(prof)
         assert cons.max_residual < 1e-8
         assert cons.max_closed_form_deviation < 1e-8
-        rot_r3.theta_prime_bounds_check(prof)
+        assert rot_r3.theta_prime_bounds_check(prof).violations == ()
         per = rot_r3.periodicity_check(prof)
         assert per.z_return_deviation < 1e-6
         assert per.translation_defect < 1e-6
-        surf = rot_r3.revolve(prof, phi_samples=12, s_samples=40)
-        assert surf.relation_residual < 1e-6
+        assert revolved_relation_residual(prof) < 1e-6

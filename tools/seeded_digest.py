@@ -13,7 +13,10 @@ the first items in-process and hashes their results:
 Prints one line per workload and seed (item count and digest) and a final
 combined digest over those lines, as ``artifact_digest.py`` does. Two
 checkouts that print the same combined digest returned and wrote the same
-bytes on every one of these items.
+bytes on every one of these items. ``EXPECTED`` records the combined digest
+with the numpy version it was recorded under; under that version a different
+digest makes the tool exit 1. A change that moves these results on purpose
+records the new digest here.
 
 Usage, from the repository root (several minutes):
 
@@ -32,11 +35,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "wbench"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+
+EXPECTED = "4c62d899e68ce60935387ec80f190d50c2de1643fd0ac2ada0981556a0bcf645"
+EXPECTED_NUMPY = "2.4.6"
 
 SEEDS = range(1, 11)
 ITEMS = {"rot_verify": 60, "parab_classify": 280, "surface_export": 20}
@@ -70,7 +78,12 @@ def main() -> int:
     for line in digest_lines():
         combined.update(line.encode() + b"\n")
         print(line, flush=True)
-    print(f"combined {combined.hexdigest()}")
+    digest = combined.hexdigest()
+    print(f"combined {digest}")
+    if np.__version__ == EXPECTED_NUMPY and digest != EXPECTED:
+        print(f"error: combined digest differs from the recorded {EXPECTED} (numpy {EXPECTED_NUMPY})",
+              file=sys.stderr)
+        return 1
     return 0
 
 
