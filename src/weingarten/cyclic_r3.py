@@ -40,78 +40,39 @@ def _u_range(u_range) -> tuple[float, float]:
     return u_lo, u_hi
 
 
-@dataclass(frozen=True)
-class CurveFunc:
-    """Function of u with its first two derivatives; each callable maps a
-    1-D array of u to the array of values, as ``SurfacePatch`` does."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def constant(c: float) -> "CurveFunc":
-        return CurveFunc(lambda u: np.full(len(u), c), lambda u: np.zeros(len(u)), lambda u: np.zeros(len(u)))
-
-    @staticmethod
-    def linear(c0: float, c1: float) -> "CurveFunc":
-        return CurveFunc(lambda u: c0 + c1 * u, lambda u: np.full(len(u), c1), lambda u: np.zeros(len(u)))
-
-    @staticmethod
-    def poly(coeffs) -> "CurveFunc":
-        """Ascending-order polynomial coefficients."""
-        p = np.polynomial.Polynomial(coeffs)
-        p1 = p.deriv()
-        return CurveFunc(p, p1, p1.deriv())
-
-
 @dataclass
 class CyclicSurfaceSpec:
-    """Center curve (f, g) and radius r of the circle foliation, with two
-    derivatives each; the foliation planes are the parallel planes z = u."""
+    """Center curve (f, g) and radius r of the circle foliation; the
+    foliation planes are the parallel planes z = u. ``jets(us)`` maps a 1-D
+    array of u to ((f, f', f''), (g, g', g''), (r, r', r'')), each an array
+    like ``us``, so a grid computes its curve data in one call."""
 
     u_range: tuple[float, float]
-    center_x: CurveFunc
-    center_y: CurveFunc
-    radius: CurveFunc
-    kind: str = "parallel-planes"
-
-    def check_radius_positive(self) -> None:
-        r = self.radius.value(np.linspace(*self.u_range, 200))
-        if np.min(r) <= 0:
-            raise NonPositiveRadiusError(
-                f"radius reaches {np.min(r):.6g} <= 0 on {self.u_range}"
-            )
+    jets: Callable[[np.ndarray], tuple]
 
 
 def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
     """Assemble the parametrized patch with analytic partials. Regularity
     |X_u x X_v|^2 = r^2 (1 + (f' cos v + g' sin v + r')^2) holds wherever
     the radius is positive."""
-    f, g, r = spec.center_x, spec.center_y, spec.radius
 
     def pos(u, v):
-        rv, (cv, sv) = r.value(u)[:, None], cos_sin(v)
-        return grid_vec(u, v, f.value(u)[:, None] + rv * cv, g.value(u)[:, None] + rv * sv, u[:, None])
+        (f, _, _), (g, _, _), (r, _, _) = spec.jets(u)
+        rv, (cv, sv) = r[:, None], cos_sin(v)
+        return grid_vec(u, v, f[:, None] + rv * cv, g[:, None] + rv * sv, u[:, None])
 
     def partials(u, v):
-        # r.d1 is evaluated first: where r = 0 its error is the one raised
-        r1, (cv, sv) = r.d1(u)[:, None], cos_sin(v)
-        rv, r2 = r.value(u)[:, None], r.d2(u)[:, None]
+        (_, f1, f2), (_, g1, g2), (r, r1, r2) = spec.jets(u)
+        rv, r1, r2, (cv, sv) = r[:, None], r1[:, None], r2[:, None], cos_sin(v)
         return (
-            grid_vec(u, v, f.d1(u)[:, None] + r1 * cv, g.d1(u)[:, None] + r1 * sv, 1.0),
+            grid_vec(u, v, f1[:, None] + r1 * cv, g1[:, None] + r1 * sv, 1.0),
             grid_vec(u, v, -rv * sv, rv * cv, 0.0),
-            grid_vec(u, v, f.d2(u)[:, None] + r2 * cv, g.d2(u)[:, None] + r2 * sv, 0.0),
+            grid_vec(u, v, f2[:, None] + r2 * cv, g2[:, None] + r2 * sv, 0.0),
             grid_vec(u, v, -r1 * sv, r1 * cv, 0.0),
             grid_vec(u, v, -rv * cv, -rv * sv, 0.0),
         )
 
-    return SurfacePatch(
-        u_range=spec.u_range,
-        v_range=(0.0, 2 * math.pi),
-        position=pos, partials=partials,
-        name=f"cyclic-{spec.kind}",
-    )
+    return SurfacePatch(u_range=spec.u_range, v_range=(0.0, 2 * math.pi), position=pos, partials=partials)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +83,10 @@ def cyclic_patch(spec: CyclicSurfaceSpec) -> SurfacePatch:
 class RiemannSpec(CyclicSurfaceSpec):
     """Cyclic spec backed by the minimal-surface center/radius system."""
 
-    lam: float = 0.0
-    mu: float = 0.0
-    r0: float = 1.0
-    r0_prime: float = 0.0
+    lam: float
+    mu: float
+    r0: float
+    r0_prime: float
 
 
 def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
@@ -142,11 +103,12 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     (lam^2+mu^2) r^4 are the squares f'^2 + g'^2.
 
     lam = mu = 0 is the rotational minimal surface (catenary radius); any
-    other choice gives the non-rotational periodic minimal family. The spec
-    fields evaluate the dense output, with one array call per direction of
-    integration; second derivatives evaluate the governing system on it.
-    They raise ValueError outside the integrated range, where the dense
-    output would only extrapolate. u_range must hold 0 and u_min < u_max.
+    other choice gives the non-rotational periodic minimal family. The
+    spec's ``jets`` evaluate the dense output once, with one array call per
+    direction of integration; the derivatives evaluate the governing system
+    on it. They raise ValueError outside the integrated range, where the
+    dense output would only extrapolate. u_range must hold 0 and
+    u_min < u_max.
     """
     if r0 <= 0:
         raise NonPositiveRadiusError(f"r0 = {r0} must be positive")
@@ -170,8 +132,7 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     lo = bwd.s_end if bwd is not None else 0.0
     hi = fwd.s_end if fwd is not None else 0.0
 
-    def at(u):
-        """(n, 4) states (f, g, r, r') at the 1-D array ``u``."""
+    def jets(u):
         outside = ~((lo <= u) & (u <= hi))
         if outside.any():
             raise ValueError(f"u = {float(u[outside][0])} is outside the integrated range [{lo}, {hi}]")
@@ -179,26 +140,12 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
         y = np.empty((len(u), 4))
         y[ahead] = fwd(u[ahead]) if fwd is not None else y0
         y[~ahead] = bwd(u[~ahead]) if bwd is not None else y0
-        return y
+        f, g, r, rp = y.T
+        r2 = _pow(r, 2)
+        return ((f, lam * r2, 2.0 * lam * r * rp), (g, mu * r2, 2.0 * mu * r * rp),
+                (r, rp, (1.0 + c4 * _pow(r, 4) + rp * rp) / r))
 
-    def center_field(coef, idx):
-        def d2(u):
-            _, _, r, rp = at(u).T
-            return 2.0 * coef * r * rp
-
-        return CurveFunc(value=lambda u: at(u)[:, idx], d1=lambda u: coef * _pow(at(u)[:, 2], 2), d2=d2)
-
-    def r_dd(u):
-        _, _, r, rp = at(u).T
-        return (1.0 + c4 * _pow(r, 4) + rp * rp) / r
-
-    r = CurveFunc(value=lambda u: at(u)[:, 2], d1=lambda u: at(u)[:, 3], d2=r_dd)
-    return RiemannSpec(
-        u_range=(float(lo), float(hi)),
-        center_x=center_field(lam, 0), center_y=center_field(mu, 1), radius=r,
-        kind="minimal-cyclic",
-        lam=lam, mu=mu, r0=r0, r0_prime=r0_prime,
-    )
+    return RiemannSpec(u_range=(float(lo), float(hi)), jets=jets, lam=lam, mu=mu, r0=r0, r0_prime=r0_prime)
 
 
 def riemann_identity_residual(spec: RiemannSpec) -> float:
@@ -212,7 +159,7 @@ def riemann_identity_residual(spec: RiemannSpec) -> float:
     c4 = spec.lam**2 + spec.mu**2
     i0 = (1.0 + spec.r0_prime**2) / spec.r0**2 - c4 * spec.r0**2
     us = np.linspace(*spec.u_range, 400)
-    r, rp = spec.radius.value(us), spec.radius.d1(us)
+    _, _, (r, rp, _) = spec.jets(us)
     return float(np.fmax.reduce(np.abs(1.0 + rp * rp - r * r * (i0 + c4 * r * r)), initial=0.0))
 
 
@@ -224,43 +171,35 @@ def generalized_cone(f0: float, f1: float, g0: float, g1: float,
                      r0: float, r1: float, u_range=(0.0, 1.0)) -> CyclicSurfaceSpec:
     """Collinear circle centers (f, g) = (f0 + f1 u, g0 + g1 u) and linear
     radius r = r0 + r1 u: the flat (K = 0) cyclic family."""
-    spec = CyclicSurfaceSpec(
-        u_range=_u_range(u_range),
-        center_x=CurveFunc.linear(f0, f1),
-        center_y=CurveFunc.linear(g0, g1),
-        radius=CurveFunc.linear(r0, r1),
-        kind="generalized-cone",
-    )
-    spec.check_radius_positive()
-    return spec
+    u_range = _u_range(u_range)
+    r = r0 + r1 * np.linspace(*u_range, 200)
+    if np.min(r) <= 0:
+        raise NonPositiveRadiusError(f"radius reaches {np.min(r):.6g} <= 0 on {u_range}")
+
+    def jets(u):
+        zero = np.zeros(len(u))
+        return tuple((c0 + c1 * u, np.full(len(u), c1), zero) for c0, c1 in ((f0, f1), (g0, g1), (r0, r1)))
+
+    return CyclicSurfaceSpec(u_range=u_range, jets=jets)
 
 
 def sphere_slice(radius: float = 1.0, u_range=None) -> CyclicSurfaceSpec:
     """A round sphere sliced by parallel planes: r(u) = sqrt(R^2 - u^2).
-    The radius functions raise NonPositiveRadiusError, naming the first such
-    u, where |u| >= R."""
+    Its ``jets`` raise NonPositiveRadiusError, naming the first such u, where
+    |u| >= R."""
     R = float(radius)
     if u_range is None:
         u_range = (-0.7 * R, 0.7 * R)
 
-    def r(u):
+    def jets(u):
         r2 = R * R - u * u
         bad = ~(r2 > 0)
         if bad.any():
             raise NonPositiveRadiusError(f"sphere slice of radius {R} has no circle at u = {float(u[bad][0])}")
-        return np.sqrt(r2)
+        r, zero = np.sqrt(r2), np.zeros(len(u))
+        return (zero, zero, zero), (zero, zero, zero), (r, -u / r, -R * R / _pow(r, 3))
 
-    return CyclicSurfaceSpec(
-        u_range=_u_range(u_range),
-        center_x=CurveFunc.constant(0.0),
-        center_y=CurveFunc.constant(0.0),
-        radius=CurveFunc(
-            value=r,
-            d1=lambda u: -u / r(u),
-            d2=lambda u: -R * R / _pow(r(u), 3),
-        ),
-        kind="sphere-slice",
-    )
+    return CyclicSurfaceSpec(u_range=_u_range(u_range), jets=jets)
 
 
 def max_curvature_magnitudes(spec: CyclicSurfaceSpec, n_u: int = 40, n_v: int = 48):
@@ -303,13 +242,6 @@ class TrigCoefficients:
     def vanishes(self, tol: float) -> bool:
         return self.max_abs < tol
 
-    def reconstruct(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.full_like(v, self.A[0])
-        for n in range(1, len(self.A)):
-            out += self.A[n] * np.cos(n * v) + self.B[n] * np.sin(n * v)
-        return out
-
 
 def residual_samples(spec: CyclicSurfaceSpec, params: WeingartenParams, u: float, n_samples: int):
     vs = 2 * math.pi * np.arange(n_samples) / n_samples
@@ -321,6 +253,8 @@ def trig_coefficients(spec: CyclicSurfaceSpec, params: WeingartenParams, u: floa
                       n_samples: int = 64, n_max: int = 12) -> TrigCoefficients:
     """Uniform v-sampling of the residual on [0, 2pi) and its DFT up to
     order ``n_max``. Requires n_samples >= 2*n_max + 3 (aliasing margin)."""
+    if n_max < 0:
+        raise ValueError(f"n_max = {n_max} must be >= 0")
     if n_samples < 2 * n_max + 3:
         raise ValueError(f"n_samples = {n_samples} < 2*n_max + 3 = {2 * n_max + 3}")
     _, res = residual_samples(spec, params, u, n_samples)

@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import DegeneratePointError
 from .odekit import IvpSpec
 
@@ -46,7 +45,6 @@ class SurfacePatch:
     v_range: tuple[float, float]
     position: Vec3Grid
     partials: Callable[[np.ndarray, np.ndarray], tuple]
-    name: str = ""
 
 
 def grid_vec(us, vs, x, y, z) -> np.ndarray:
@@ -213,12 +211,6 @@ class CurvatureField:
     K: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-    flipped_normal: bool = False
-
-    CSV_HEADER = ["u", "v", "E", "F", "G", "e", "f", "g", "H", "K", "k1", "k2"]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.CSV_HEADER, [getattr(self, name) for name in self.CSV_HEADER])
 
 
 def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = False) -> CurvatureField:
@@ -226,7 +218,7 @@ def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = Fal
     outer; ``partials`` is called once. ValueError on an empty grid."""
     us, vs, forms, W = _forms(patch, u_grid, v_grid, flip_normal, check_metric=True)
     columns = [c.ravel() for c in (*forms, *_curvatures(forms, W))]
-    return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns, flipped_normal=flip_normal)
+    return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns)
 
 
 def weingarten_residual(
@@ -259,8 +251,7 @@ def finite_difference_patch(position: Vec3Grid, u_range, v_range, step: float = 
             (vp - 2 * c + vm) / (h * h),
         )
 
-    return SurfacePatch(u_range=tuple(u_range), v_range=tuple(v_range), position=p, partials=partials,
-                        name="fd-oracle")
+    return SurfacePatch(u_range=tuple(u_range), v_range=tuple(v_range), position=p, partials=partials)
 
 
 def check_derivatives(patch: SurfacePatch, n_u: int = 5, n_v: int = 5, step: float = 1e-4, rtol: float = 1e-6) -> float:

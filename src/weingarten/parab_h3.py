@@ -581,11 +581,7 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0)) -> ParabolicPatc
             zero,
         )
 
-    patch = SurfacePatch(
-        u_range=(0.0, profile.s_max),
-        v_range=tuple(t_range),
-        position=pos, partials=partials, name="parabolic-invariant",
-    )
+    patch = SurfacePatch(u_range=(0.0, profile.s_max), v_range=tuple(t_range), position=pos, partials=partials)
     return ParabolicPatch(patch=patch, profile=profile, relation_residual_max=residual)
 
 

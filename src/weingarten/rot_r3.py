@@ -171,6 +171,8 @@ def integrate_profile(
     negativity of theta' fails (the theory proves both cannot happen for
     admissible parameters, so a trigger means a bug or bad input).
     """
+    if n_periods < 1:
+        raise ValueError(f"n_periods = {n_periods} must be >= 1")
     p = validate_params(params)
     z_min0 = min_initial_height(p)
     if not z0 > z_min0:
@@ -557,11 +559,7 @@ def profile_patch(profile: HyperbolicProfile) -> SurfacePatch:
             grid_vec(s, phi, 0.0, -z * cp, -z * sp),
         )
 
-    return SurfacePatch(
-        u_range=(0.0, profile.s_end),
-        v_range=(0.0, 2 * math.pi),
-        position=pos, partials=partials, name="revolved-profile",
-    )
+    return SurfacePatch(u_range=(0.0, profile.s_end), v_range=(0.0, 2 * math.pi), position=pos, partials=partials)
 
 
 def revolve(profile: HyperbolicProfile, phi_samples: int = 64, s_samples: int = 200) -> RevolvedSurface:

@@ -60,6 +60,19 @@ def dense_call_shapes(monkeypatch):
     return shapes
 
 
+def _poly_jets(f, g, r):
+    """``jets`` of a cyclic spec whose centre (f, g) and radius r are the
+    polynomials with these ascending coefficients."""
+    polys = [(p, p.deriv(), p.deriv(2)) for p in map(np.polynomial.Polynomial, (f, g, r))]
+    return lambda u: tuple(tuple(q(u) for q in jet) for jet in polys)
+
+
+@pytest.fixture(scope="session")
+def poly_jets():
+    # The polynomial curves of the perturbed cyclic specs.
+    return _poly_jets
+
+
 @pytest.fixture(scope="session")
 def cyclic_specs():
     return {

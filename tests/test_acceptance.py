@@ -123,7 +123,7 @@ def test_criterion_7_derivative_identity():
     _verdict(7, "differentiated-relation identity along all five trajectories", checks)
 
 
-def test_criterion_8_cyclic_suite():
+def test_criterion_8_cyclic_suite(poly_jets):
     checks = {}
     cone = cyclic_r3.generalized_cone(0, 0.3, 0, 0.4, 1, 0.5)
     _, max_k = cyclic_r3.max_curvature_magnitudes(cone, 30, 36)
@@ -139,12 +139,7 @@ def test_criterion_8_cyclic_suite():
     tc = cyclic_r3.trig_coefficients(sphere, WeingartenParams(2, 0, 2), u=0.3, n_max=12)
     checks["sphere_coefficients_below_1e8"] = tc.max_abs < 1e-8
 
-    perturbed = cyclic_r3.CyclicSurfaceSpec(
-        (0.0, 1.0),
-        cyclic_r3.CurveFunc.linear(0.0, 0.3),
-        cyclic_r3.CurveFunc.linear(0.0, 0.4),
-        cyclic_r3.CurveFunc.poly([1.0, 0.5, 0.1]),
-    )
+    perturbed = cyclic_r3.CyclicSurfaceSpec((0.0, 1.0), poly_jets([0.0, 0.3], [0.0, 0.4], [1.0, 0.5, 0.1]))
     tcn = cyclic_r3.trig_coefficients(perturbed, WeingartenParams(0, 1, 0), u=0.5)
     checks["perturbed_cone_above_1e3"] = tcn.max_abs > 1e-3
     _verdict(8, "cyclic suite: flat cones, minimal families, Fourier controls", checks)

@@ -259,6 +259,19 @@ def test_small_counts_are_usage_errors(argv, tmp_path):
     assert not any(p.suffix in (".obj", ".csv") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["cyclic", "coeffs", "--n-max", "-1"], "n_max = -1"),
+    (["rot-r3", "report", "--a", "2", "--b", "-2", "--z0", "3", "--periods", "0"], "n_periods = 0"),
+    (["rot-r3", "report", "--a", "2", "--b", "-2", "--z0", "3", "--periods", "-1"], "n_periods = -1"),
+], ids=["n-max-negative", "periods-zero", "periods-negative"])
+def test_out_of_range_counts_are_named_in_the_usage_error(argv, named, tmp_path, capsys):
+    # an input error, not an integration failure or a traceback
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [
     {"a": "nope", "b": -0.2},
     {"a": [0.5], "b": -0.2},
@@ -318,6 +331,22 @@ def test_artifact_digest_matches_record(monkeypatch):
         pytest.skip(f"digest recorded under numpy {tool.EXPECTED_NUMPY}, running {np.__version__}")
     monkeypatch.delenv("WEINGARTEN_OUT", raising=False)
     assert tool.combined_digest(tool.digest_lines()) == tool.EXPECTED
+
+
+def test_artifact_digest_exits_1_on_a_mismatch_under_the_recorded_numpy(monkeypatch, capsys):
+    tool = _load_tool("artifact_digest")
+    monkeypatch.setattr(tool, "digest_lines", lambda: iter(["exit=0 cyclic cone"]))
+    combined = tool.hashlib.sha256(b"exit=0 cyclic cone\n").hexdigest()
+    monkeypatch.setattr(tool, "EXPECTED_NUMPY", np.__version__)
+    assert tool.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"combined {combined}"
+    assert tool.EXPECTED in err
+    monkeypatch.setattr(tool, "EXPECTED", combined)
+    assert tool.main() == 0
+    monkeypatch.setattr(tool, "EXPECTED", "0" * 64)
+    monkeypatch.setattr(tool, "EXPECTED_NUMPY", "0.0.0")
+    assert tool.main() == 0
 
 
 def test_seeded_digest_smoke():

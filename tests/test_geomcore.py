@@ -48,7 +48,6 @@ def sphere_patch(radius=1.0):
             lambda u, v: [-R * cos(u) * sin(v), R * cos(u) * cos(v), 0.0],
             lambda u, v: [-R * sin(u) * cos(v), -R * sin(u) * sin(v), 0.0],
         ),
-        name="sphere",
     )
 
 
@@ -65,7 +64,6 @@ def cylinder_patch(radius=2.0):
             lambda u, v: [0.0, 0.0, 0.0],
             lambda u, v: [0.0, -r * np.cos(v), -r * np.sin(v)],
         ),
-        name="cylinder",
     )
 
 
@@ -81,7 +79,6 @@ def plane_patch():
             lambda u, v: [0.0, 0.0, 0.0],
             lambda u, v: [0.0, 0.0, 0.0],
         ),
-        name="plane",
     )
 
 
@@ -100,7 +97,6 @@ def catenoid_patch():
             lambda u, v: [0.0, -sh(u) * np.sin(v), sh(u) * np.cos(v)],
             lambda u, v: [0.0, -ch(u) * np.cos(v), -ch(u) * np.sin(v)],
         ),
-        name="catenoid",
     )
 
 
@@ -307,20 +303,6 @@ def test_params_discriminant_family():
     assert WeingartenParams(2, -2, 1).family == "hyperbolic"
     p = WeingartenParams(4, -8, 2).normalized()
     assert p.c == 1 and p.a == 2 and p.b == -4
-
-
-def test_curvature_field_csv_roundtrip(tmp_path):
-    patch = sphere_patch(1.0)
-    field = curvature_field(patch, np.linspace(0.5, 2.5, 3), np.linspace(0.1, 6.0, 4))
-    out = tmp_path / "field.csv"
-    field.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "u,v,E,F,G,e,f,g,H,K,k1,k2"
-    assert len(lines) == 1 + 12
-    first = [float(x) for x in lines[1].split(",")]
-    assert abs(first[0] - 0.5) < 1e-15
-    # values round-trip through the 17-significant-digit format
-    assert first[2] == field.E[0]
 
 
 # ---------------------------------------------------------------------------

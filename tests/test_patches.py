@@ -3,7 +3,6 @@ here as the reference: the position and every entry of the partials tuple
 must be bit-identical to the stack of scalar evaluations."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,35 +62,32 @@ def scalar_parab(profile):
 
 
 def scalar_cyclic(spec):
-    def one_point(curve):
-        # the curve functions take arrays of u: call them on one u at a time
-        return SimpleNamespace(**{name: lambda u, fn=getattr(curve, name): float(fn(np.array([u]))[0])
-                                  for name in ("value", "d1", "d2")})
-
-    f, g, r = map(one_point, (spec.center_x, spec.center_y, spec.radius))
+    def jets(u):
+        # the jets take arrays of u: call them on one u at a time
+        return [[float(x[0]) for x in jet] for jet in spec.jets(np.array([u]))]
 
     def pos(u, v):
-        rv = r.value(u)
-        return np.array([f.value(u) + rv * math.cos(v), g.value(u) + rv * math.sin(v), u])
+        (f, _, _), (g, _, _), (rv, _, _) = jets(u)
+        return np.array([f + rv * math.cos(v), g + rv * math.sin(v), u])
 
     def d_u(u, v):
-        r1 = r.d1(u)
-        return np.array([f.d1(u) + r1 * math.cos(v), g.d1(u) + r1 * math.sin(v), 1.0])
+        (_, f1, _), (_, g1, _), (_, r1, _) = jets(u)
+        return np.array([f1 + r1 * math.cos(v), g1 + r1 * math.sin(v), 1.0])
 
     def d_v(u, v):
-        rv = r.value(u)
+        rv = jets(u)[2][0]
         return np.array([-rv * math.sin(v), rv * math.cos(v), 0.0])
 
     def d_uu(u, v):
-        r2 = r.d2(u)
-        return np.array([f.d2(u) + r2 * math.cos(v), g.d2(u) + r2 * math.sin(v), 0.0])
+        (_, _, f2), (_, _, g2), (_, _, r2) = jets(u)
+        return np.array([f2 + r2 * math.cos(v), g2 + r2 * math.sin(v), 0.0])
 
     def d_uv(u, v):
-        r1 = r.d1(u)
+        r1 = jets(u)[2][1]
         return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
 
     def d_vv(u, v):
-        rv = r.value(u)
+        rv = jets(u)[2][0]
         return np.array([-rv * math.cos(v), -rv * math.sin(v), 0.0])
 
     return pos, (d_u, d_v, d_uu, d_uv, d_vv)

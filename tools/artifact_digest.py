@@ -13,8 +13,9 @@ Usage, from the repository root:
 The package is imported from ``src/`` next to this script, so the tool
 measures the checkout it sits in. ``EXPECTED`` records the combined digest
 with the numpy version it was recorded under; the test suite checks it
-under that version. A change that moves artifact bytes on purpose records
-the new digest here.
+under that version, and under that version a different digest makes the
+tool exit 1. A change that moves artifact bytes on purpose records the new
+digest here.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -91,7 +94,12 @@ def _echoed(lines):
 
 
 def main() -> int:
-    print(f"combined {combined_digest(_echoed(digest_lines()))}")
+    digest = combined_digest(_echoed(digest_lines()))
+    print(f"combined {digest}")
+    if np.__version__ == EXPECTED_NUMPY and digest != EXPECTED:
+        print(f"error: combined digest differs from the recorded {EXPECTED} (numpy {EXPECTED_NUMPY})",
+              file=sys.stderr)
+        return 1
     return 0
 
 
