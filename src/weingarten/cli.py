@@ -100,12 +100,12 @@ def cmd_parab_classify(args) -> int:
 
 
 def _cyclic_surface_from_args(args, surface):
-    if surface == "sphere":
-        return cyclic_r3.sphere_slice(args.radius)
+    if surface == "sphere":  # an unset bound takes the sphere's own default
+        return cyclic_r3.sphere_slice(args.radius, (args.u_min, args.u_max))
+    u_range = tuple(d if v is None else v for v, d in zip((args.u_min, args.u_max), args.u_defaults))
     if surface == "cone":
-        return cyclic_r3.generalized_cone(args.f0, args.f1, args.g0, args.g1, args.r0, args.r1,
-                                          (args.u_min, args.u_max))
-    return cyclic_r3.riemann_example(args.lam, args.mu, args.r0, args.r0p, (args.u_min, args.u_max))
+        return cyclic_r3.generalized_cone(args.f0, args.f1, args.g0, args.g1, args.r0, args.r1, u_range)
+    return cyclic_r3.riemann_example(args.lam, args.mu, args.r0, args.r0p, u_range)
 
 
 def cmd_cyclic_riemann(args) -> int:
@@ -215,10 +215,12 @@ def _add_parab_params(p):
 
 
 def _add_cyclic_common(p, u_min):
-    """--r0 and the u range; ``u_min`` is the subcommand's default for --u-min."""
+    """--r0 and the u range; ``u_min`` is the subcommand's default for --u-min.
+    The sphere's defaults are its own, -0.7R and 0.7R."""
     p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--u-min", type=float, default=u_min, dest="u_min")
-    p.add_argument("--u-max", type=float, default=1.0, dest="u_max")
+    p.add_argument("--u-min", type=float, default=None, dest="u_min", help=f"default {u_min:g}; sphere: -0.7R")
+    p.add_argument("--u-max", type=float, default=None, dest="u_max", help="default 1; sphere: 0.7R")
+    p.set_defaults(u_defaults=(u_min, 1.0))
 
 
 def _add_cone_params(p):

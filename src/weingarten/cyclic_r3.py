@@ -117,7 +117,7 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
     def rhs(u, y):
         r, rp = y[2], y[3]
         r2 = r * r
-        return np.array([lam * r2, mu * r2, rp, (1.0 + c4 * r2 * r2 + rp * rp) / r])
+        return lam * r2, mu * r2, rp, (1.0 + c4 * r2 * r2 + rp * rp) / r
 
     y0 = [0.0, 0.0, r0, r0_prime]
     guard = lambda u, y: y[2] > 1e-9
@@ -183,13 +183,15 @@ def generalized_cone(f0: float, f1: float, g0: float, g1: float,
     return CyclicSurfaceSpec(u_range=u_range, jets=jets)
 
 
-def sphere_slice(radius: float = 1.0, u_range=None) -> CyclicSurfaceSpec:
+def sphere_slice(radius: float = 1.0, u_range=(None, None)) -> CyclicSurfaceSpec:
     """A round sphere sliced by parallel planes: r(u) = sqrt(R^2 - u^2).
-    Its ``jets`` raise NonPositiveRadiusError, naming the first such u, where
-    |u| >= R."""
+    A bound of ``u_range`` given as None takes its default, -0.7R or 0.7R.
+    Raises NonPositiveRadiusError unless R > 0. Its ``jets`` raise
+    NonPositiveRadiusError, naming the first such u, where |u| >= R."""
     R = float(radius)
-    if u_range is None:
-        u_range = (-0.7 * R, 0.7 * R)
+    if not R > 0:
+        raise NonPositiveRadiusError(f"sphere radius R = {R} must be positive")
+    u_range = tuple(d if b is None else b for b, d in zip(u_range, (-0.7 * R, 0.7 * R)))
 
     def jets(u):
         r2 = R * R - u * u

@@ -78,7 +78,7 @@ def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
         _, z, th = y
         ct = math.cos(th)
         st = math.sin(th)
-        return np.array([ct, st, theta_prime(z, ct, st)])
+        return ct, st, theta_prime(z, ct, st)
 
     return IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
 

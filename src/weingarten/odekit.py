@@ -3,9 +3,12 @@ scalar-event detection, and bracketing root refinement.
 
 The stepper is a Dormand-Prince 5(4) pair with the standard quartic
 interpolant. Everything is plain float arithmetic: identical inputs produce
-bit-identical trajectories.
+bit-identical trajectories. ``rhs``, guards and ``Event.fn`` receive the state
+as an indexable sequence of floats: a tuple while stepping, an array in the
+starting-step estimate and on dense output. An ``rhs`` may return a tuple.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -16,7 +19,7 @@ from .errors import StepUnderflowError  # noqa: F401 - wbench/layertrace.py read
 
 # Dormand-Prince 5(4) tableau. The fifth-order solution is propagated; the
 # last stage is FSAL.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -26,7 +29,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # Difference between the 5th- and 4th-order weights (local error estimate).
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -65,19 +67,20 @@ class Event:
 
     g is compared only at the ends of each accepted step, so an even number
     of sign changes inside one step (g dipping across zero and back) goes
-    undetected.
+    undetected. fn receives the state as an indexable sequence of floats.
     """
 
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, Sequence[float]], float]
     direction: int = 0
     name: str = ""
 
 
 @dataclass(frozen=True)
 class IvpSpec:
-    """Initial value problem: y' = rhs(s, y), y(s0) = y0."""
+    """Initial value problem: y' = rhs(s, y), y(s0) = y0. rhs receives y as
+    an indexable sequence of floats and returns one (a tuple is cheapest)."""
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, Sequence[float]], Sequence[float]]
     s0: float
     y0: Sequence[float]
     rtol: float = 1e-10
@@ -192,23 +195,25 @@ def _rms_norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(v * v)))
 
 
-def _initial_step(rhs, s0, y0, f0, direction, rtol, atol):
-    # Hairer-Norsett-Wanner starting-step heuristic (deterministic).
+def _initial_step(rhs, s0, y0, direction, rtol, atol):
+    # Hairer-Norsett-Wanner starting-step heuristic (deterministic). Returns
+    # the step and f0 = rhs(s0, y0).
+    f0 = np.asarray(rhs(s0, y0), dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
-    f1 = rhs(s0 + h0 * direction, y1)
+    f1 = np.asarray(rhs(s0 + h0 * direction, y1), dtype=float)
     d2 = _rms_norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1)
+    return min(100 * h0, h1), f0
 
 
-def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], bool] = None) -> Trajectory:
+def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[float]], bool] = None) -> Trajectory:
     """Integrate ``spec`` until s_end, the first event crossing, a guard stop
     or a step underflow, and return the trajectory with the stop reason:
     ``reached_end``, ``event``, ``guard`` or ``step_underflow``.
@@ -224,25 +229,30 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
     Where that root is within roundoff of the step end (g crossed at the
     step's end state but not on the quartic there), the run stops at the
     step end.
+
+    The tableau products stay BLAS ``dot`` calls: BLAS contracts them with
+    FMA, so sums in Python floats would move the bits of every trajectory.
     """
-    rhs = spec.rhs
+    rhs, rtol, atol = spec.rhs, spec.rtol, spec.atol
     s = float(spec.s0)
-    y = np.asarray(spec.y0, dtype=float)
+    y = tuple(np.asarray(spec.y0, dtype=float).tolist())
     if guard is not None and not guard(s, y):
         raise ValueError("initial state does not satisfy the guard")
 
     direction = 1.0 if s_end >= s else -1.0
-    f0 = np.asarray(rhs(s, y), dtype=float)
-    h = _initial_step(rhs, s, y, f0, direction, spec.rtol, spec.atol)
+    h, f0 = _initial_step(rhs, s, np.array(y), direction, rtol, atol)
     h = min(h, abs(s_end - s))
 
-    grid = [s]
-    samples = [y.copy()]
-    seg_h, seg_q = [], []
+    grid, samples = [s], [y]
+    seg_h, seg_k = [], []  # per accepted step: signed length and stages
     ev_vals = [ev.fn(s, y) for ev in spec.events]
 
     K = np.empty((7, spec.dim))
     K[0] = f0
+    # (K[:i]^T product, weights, node, row of K) of the six new stages
+    stages = [(K[:i].T.dot, _A[i], _C[i], K[i]) for i in range(1, 7)]
+    f0_finite = all(map(math.isfinite, f0.tolist()))
+    eps16 = 16 * np.finfo(float).eps
     step_rejected = False
 
     def finish(why, event=None):
@@ -252,11 +262,11 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
             reason=why,
             event=event,
             _seg_h=np.array(seg_h) if seg_h else np.array([1.0]),
-            _seg_q=np.array(seg_q) if seg_q else np.zeros((1, spec.dim, 4)),
+            _seg_q=np.matmul(np.array(seg_k).transpose(0, 2, 1), _P) if seg_k else np.zeros((1, spec.dim, 4)),
         )
 
     while direction * (s_end - s) > 0:
-        h_min = max(1e-14, 16 * np.finfo(float).eps * abs(s))
+        h_min = max(1e-14, eps16 * abs(s))
         remaining = abs(s_end - s)
         if remaining < h_min:
             break  # at s_end within resolution
@@ -268,28 +278,30 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
         guard_blocked = False
         while True:
             # Build the six new stages; check the guard before each RHS call.
-            ok = True
-            for i in range(1, 7):
-                yi = y + h * direction * (K[:i].T @ _A[i])
-                si = s + _C[i] * h * direction
+            finite, hd = f0_finite, h * direction
+            for k_dot, a, c, k_row in stages:
+                yi = tuple([yk + hd * vk for yk, vk in zip(y, k_dot(a).tolist())])
+                si = s + c * h * direction
                 if guard is not None and not guard(si, yi):
-                    ok = False
                     break
-                K[i] = rhs(si, yi)
-            if ok:
+                k_row[:] = fi = rhs(si, yi)
+                finite = finite and all(map(math.isfinite, fi))
+            else:
                 break
             h *= 0.5
             guard_blocked = True
             if h < h_min:
                 return finish(GUARD_STOP)
 
-        y_new = y + h * direction * (K.T @ _B)
-        if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y_new))):
-            err = np.inf
+        y_new = yi  # FSAL: the stage-6 state is the fifth-order solution
+        if not (finite and all(map(math.isfinite, y_new))):
+            err = math.inf
         else:
-            err_vec = h * (K.T @ _E)
-            scale = spec.atol + spec.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms_norm(err_vec / scale)
+            acc = 0.0
+            for ek, y0k, y1k in zip(K.T.dot(_E).tolist(), y, y_new):
+                r = h * ek / (atol + rtol * max(abs(y0k), abs(y1k)))
+                acc += r * r
+            err = math.sqrt(acc / spec.dim)
 
         if err > 1.0:
             factor = max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
@@ -302,13 +314,8 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
         # Accepted step: record the dense segment. (Guard retries may have
         # shrunk h below the remaining span, so re-check before snapping.)
         s_new = s_end if last_step and h >= remaining else s + h * direction
-        q = K.T @ _P
         seg_h.append(h * direction)
-        seg_q.append(q)
-
-        # Event localization on the fresh dense segment.
-        def seg_eval(ss):
-            return _quartic(ss, s, h * direction, y, q)
+        seg_k.append(K.copy())
 
         hits = []
         for j, ev in enumerate(spec.events):
@@ -323,11 +330,14 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
                 continue
             if ev.direction < 0 and rising:
                 continue
+            # Localize on the step's dense quartic, formed only for a crossing.
+            q, y_arr = K.T @ _P, np.array(y)
+            seg_eval = lambda ss: _quartic(ss, s, h * direction, y_arr, q)
             try:
                 s_hit = find_root(lambda ss: ev.fn(ss, seg_eval(ss)), (s, s_new), tol=1e-12)
                 hits.append(EventHit(name=ev.name, s=s_hit, state=seg_eval(s_hit)))
             except NoSignChangeError:
-                hits.append(EventHit(name=ev.name, s=s_new, state=y_new))
+                hits.append(EventHit(name=ev.name, s=s_new, state=np.array(y_new)))
         if hits:
             first = min(hits, key=lambda hh: direction * hh.s)
             grid.append(first.s)
@@ -335,7 +345,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, np.ndarray], 
             return finish(EVENT_STOP, first)
 
         grid.append(s_new)
-        samples.append(y_new.copy())
+        samples.append(y_new)
         s, y = s_new, y_new
         K[0] = K[6]  # FSAL
 

@@ -221,6 +221,38 @@ def test_empty_or_outside_cyclic_range_is_usage_error(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["cyclic", "coeffs", "--surface", "sphere", "--radius", "-1"],
+    ["mesh", "export", "--surface", "sphere", "--radius", "-1"],
+    ["mesh", "export", "--surface", "sphere", "--radius", "0"],
+])
+def test_nonpositive_sphere_radius_is_named(argv, tmp_path, capsys):
+    # the radius is the bad input, not the u range derived from it
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"R = {float(argv[-1])}" in err and "u_range" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _obj_z_span(path):
+    z = [float(line.split()[3]) for line in path.read_text().splitlines() if line.startswith("v ")]
+    return min(z), max(z)
+
+
+@pytest.mark.parametrize("flags,span", [
+    ([], (-0.7 * 1.3, 0.7 * 1.3)),
+    (["--u-min", "-0.2", "--u-max", "0.2"], (-0.2, 0.2)),
+    (["--u-max", "0.5"], (-0.7 * 1.3, 0.5)),
+], ids=["defaults", "both", "u-max-only"])
+def test_sphere_mesh_spans_the_u_range_flags(flags, span, tmp_path):
+    argv = ["mesh", "export", "--surface", "sphere", "--radius", "1.3", "--s-samples", "20", "--phi-samples", "16"]
+    assert run(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert run(argv + flags + ["--out", str(tmp_path / "flags")]) == 0
+    default, flagged = (tmp_path / d / "surface.obj" for d in ("default", "flags"))
+    assert _obj_z_span(flagged) == span
+    assert (flagged.read_bytes() == default.read_bytes()) == (flags == [])
+
+
 @pytest.mark.parametrize("command", ["integrate", "classify"])
 def test_loose_tol_sign_change_names_the_tolerance(tmp_path, capsys, command):
     # Fig. 4.1b lies inside the studied families; at tol 1e-3 integration

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from weingarten import odekit
+from weingarten import cyclic_r3, odekit
 from weingarten.errors import NoSignChangeError, RootNotConvergedError
 from weingarten.odekit import Event, IvpSpec, find_root, integrate
 
@@ -69,10 +70,39 @@ def test_guard_checked_on_initial_state():
 
 def test_step_underflow_on_finite_time_blowup():
     # y' = y^2, y(0) = 1 blows up at s = 1.
-    spec = IvpSpec(rhs=lambda s, y: y * y, s0=0.0, y0=[1.0], rtol=1e-10, atol=1e-12)
+    spec = IvpSpec(rhs=lambda s, y: (y[0] * y[0],), s0=0.0, y0=[1.0], rtol=1e-10, atol=1e-12)
     partial = integrate(spec, 2.0)
     assert partial.reason == "step_underflow"
     assert partial.s[-1] < 1.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_rhs_ends_in_step_underflow_with_finite_output(bad):
+    # y' = cos(s) has no finite value beyond s = 0.5: every step reaching
+    # past it is rejected until the step underflows there.
+    spec = IvpSpec(rhs=lambda s, y: (math.cos(s) if s <= 0.5 else bad,), s0=0.0, y0=[0.0])
+    traj = integrate(spec, 2.0)
+    assert traj.reason == odekit.UNDERFLOW
+    assert 0.5 - 1e-9 < traj.s_end <= 0.5
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj._seg_q))
+    assert abs(traj.states[-1, 0] - math.sin(traj.s_end)) < 1e-9
+
+
+def test_nonfinite_last_stage_alone_rejects_the_step():
+    # RHS calls: f0, the starting-step probe, then stages 1-6. The 8th call,
+    # the first step's last stage, alone is NaN; its state is finite, so
+    # only the stage's own finiteness test can reject the step.
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return (math.nan if len(calls) == 8 else math.cos(s),)
+
+    traj = integrate(IvpSpec(rhs=rhs, s0=0.0, y0=[0.0]), 1.0)
+    assert traj.reason == odekit.REACHED_END
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj._seg_q))
+    assert abs(traj.states[-1, 0] - math.sin(1.0)) < 1e-9
 
 
 def test_dense_output_reproduces_grid_samples():
@@ -200,3 +230,54 @@ def test_find_root_not_converged_carries_bracket():
     assert 1.0 <= lo < math.sqrt(2) < hi <= 2.0
     assert hi - lo > 1e-12  # not converged
     assert (f(lo) > 0) != (f(hi) > 0)
+
+
+def trajectory_sha256(trajectories) -> str:
+    """SHA-256 over the knots, states, dense segments, stop reason and event
+    of each trajectory: equal digests mean bit-identical stepping."""
+    h = hashlib.sha256()
+    for t in trajectories:
+        for arr in (t.s, t.states, t._seg_h, t._seg_q):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        h.update(t.reason.encode())
+        if t.event is not None:
+            h.update(f"{t.event.name} {t.event.s!r}".encode())
+            h.update(np.asarray(t.event.state, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def riemann_trajectories(monkeypatch):
+    """The forward and backward solves of the pinned Riemann example."""
+    solved = []
+
+    def recorded(spec, s_end, guard=None):
+        solved.append(integrate(spec, s_end, guard=guard))
+        return solved[-1]
+
+    monkeypatch.setattr(cyclic_r3, "integrate", recorded)
+    cyclic_r3.riemann_example(1.0, 0.5, 1.0, 0.1, u_range=(-1.0, 1.0))
+    assert len(solved) == 2
+    return solved
+
+
+# SHA-256 of the three pinned solves, recorded under numpy 2.4.6: the rot
+# Fig. 3 profile, the parab Fig. 4.2b profile (a denominator stop), and the
+# Riemann example in both directions.
+STEPPER_SHA256 = {
+    "rot_fig3": "e09f542f2bc6524aa07b7deb943d2b5cca0e78fec0edabceb0f7b083177110d2",
+    "parab_fig42b": "c52dd98ce4a7d449f5a1eafb68bf5569a69160d93575b502164ce7b14e45e82e",
+    "riemann": "9f736e92155e5ba725fa58cfaf97fc68394b78d24a2c7cc825d0689f68845c5d",
+}
+
+
+def test_stepper_trajectories_are_pinned(fig3_profile, parab_figure_profiles, monkeypatch):
+    if np.__version__ != "2.4.6":
+        pytest.skip(f"hashes recorded under numpy 2.4.6, running {np.__version__}")
+    parab = parab_figure_profiles[(0.5, 0.3)]
+    assert parab.cause == "denominator"
+    got = {
+        "rot_fig3": trajectory_sha256([fig3_profile.trajectory]),
+        "parab_fig42b": trajectory_sha256([parab.trajectory]),
+        "riemann": trajectory_sha256(riemann_trajectories(monkeypatch)),
+    }
+    assert got == STEPPER_SHA256
