@@ -116,18 +116,19 @@ def riemann_example(lam: float, mu: float, r0: float, r0_prime: float,
 
     def rhs(u, y):
         r, rp = y[2], y[3]
+        if not r > 1e-9:
+            return None
         r2 = r * r
         return lam * r2, mu * r2, rp, (1.0 + c4 * r2 * r2 + rp * rp) / r
 
     y0 = [0.0, 0.0, r0, r0_prime]
-    guard = lambda u, y: y[2] > 1e-9
     u_lo, u_hi = _u_range(u_range)
     if u_lo > 0 or u_hi < 0:
         raise ValueError("u_range must contain 0 (initial data is centered there)")
 
     spec = IvpSpec(rhs=rhs, s0=0.0, y0=y0, rtol=1e-12, atol=1e-14)
-    fwd = integrate(spec, u_hi, guard=guard) if u_hi > 0 else None
-    bwd = integrate(spec, u_lo, guard=guard) if u_lo < 0 else None
+    fwd = integrate(spec, u_hi) if u_hi > 0 else None
+    bwd = integrate(spec, u_lo) if u_lo < 0 else None
 
     lo = bwd.s_end if bwd is not None else 0.0
     hi = fwd.s_end if fwd is not None else 0.0

@@ -3,9 +3,9 @@ parametrized surface patches in Euclidean coordinates, the linear
 Weingarten relation residual a*H + b*K - c, and the arc-length profile
 system and mirror check shared by the profile-curve families.
 
-The normal convention is N = (X_u x X_v)/|X_u x X_v| throughout; callers that
-need the opposite geometric normal pass flip_normal=True. Principal
-curvatures are ordered k1 >= k2.
+The normal convention is N = (X_u x X_v)/|X_u x X_v| throughout, so the
+patch's parametrization fixes the orientation. Principal curvatures are
+ordered k1 >= k2.
 """
 
 import math
@@ -72,13 +72,15 @@ def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
     """The arc-length profile system x' = cos(theta), z' = sin(theta),
     theta' = theta_prime(z, cos(theta), sin(theta)) from (x, z, theta) =
     (0, z0, 0), with relative tolerance ``tol`` and absolute tolerance
-    tol * 1e-2. The trigonometry is ``math``'s."""
+    tol * 1e-2. The trigonometry is ``math``'s, and the right-hand side is
+    None where theta_prime is None (outside its admissible region)."""
 
     def rhs(s, y):
         _, z, th = y
         ct = math.cos(th)
         st = math.sin(th)
-        return ct, st, theta_prime(z, ct, st)
+        tp = theta_prime(z, ct, st)
+        return None if tp is None else (ct, st, tp)
 
     return IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
 
@@ -142,7 +144,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _forms(patch: SurfacePatch, u_grid, v_grid, flip: bool, check_metric: bool):
+def _forms(patch: SurfacePatch, u_grid, v_grid, check_metric: bool):
     """Grid axes, the (n_u, n_v) forms E, F, G, e, f, g, and EG - F^2.
     Raises DegeneratePointError at the first point in row-major order where
     |X_u x X_v| < DEGENERACY_EPS or, with ``check_metric``, EG - F^2 <= 0
@@ -166,7 +168,7 @@ def _forms(patch: SurfacePatch, u_grid, v_grid, flip: bool, check_metric: bool):
                 f"|X_u x X_v| = {norm[i, j]:.3e} < {DEGENERACY_EPS} at (u, v) = ({u}, {v})"
             )
         raise DegeneratePointError(f"EG - F^2 = {float(W[i, j])} <= 0 at ({u}, {v})")
-    n = (-n if flip else n) / norm[..., None]
+    n = n / norm[..., None]
     e, f, g = _dot(xuu, n), _dot(xuv, n), _dot(xvv, n)
     return us, vs, (E, F, G, e, f, g), W
 
@@ -181,17 +183,17 @@ def _curvatures(forms, W):
     return H, K, H + root, H - root
 
 
-def fundamental_forms(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> FundamentalForms:
+def fundamental_forms(patch: SurfacePatch, u: float, v: float) -> FundamentalForms:
     """E, F, G and e, f, g at an interior point; raises DegeneratePointError
     where the parametrization is singular."""
-    _, _, forms, _ = _forms(patch, [u], [v], flip_normal, check_metric=False)
+    _, _, forms, _ = _forms(patch, [u], [v], check_metric=False)
     return FundamentalForms(*(float(a[0, 0]) for a in forms))
 
 
-def curvatures(patch: SurfacePatch, u: float, v: float, flip_normal: bool = False) -> Curvatures:
+def curvatures(patch: SurfacePatch, u: float, v: float) -> Curvatures:
     """H, K and k1 >= k2 at one point; raises DegeneratePointError where the
     parametrization or its first fundamental form is singular."""
-    _, _, forms, W = _forms(patch, [u], [v], flip_normal, check_metric=True)
+    _, _, forms, W = _forms(patch, [u], [v], check_metric=True)
     return Curvatures(*(float(a[0, 0]) for a in _curvatures(forms, W)))
 
 
@@ -213,10 +215,10 @@ class CurvatureField:
     k2: np.ndarray
 
 
-def curvature_field(patch: SurfacePatch, u_grid, v_grid, flip_normal: bool = False) -> CurvatureField:
+def curvature_field(patch: SurfacePatch, u_grid, v_grid) -> CurvatureField:
     """Forms and curvatures at every (u, v) of two non-empty 1-D grids, u
     outer; ``partials`` is called once. ValueError on an empty grid."""
-    us, vs, forms, W = _forms(patch, u_grid, v_grid, flip_normal, check_metric=True)
+    us, vs, forms, W = _forms(patch, u_grid, v_grid, check_metric=True)
     columns = [c.ravel() for c in (*forms, *_curvatures(forms, W))]
     return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns)
 
@@ -226,10 +228,9 @@ def weingarten_residual(
     params: WeingartenParams,
     u_grid,
     v_grid,
-    flip_normal: bool = False,
 ) -> tuple[float, CurvatureField]:
     """Max-norm residual of a*H + b*K - c over the grid, plus the sampled field."""
-    field = curvature_field(patch, u_grid, v_grid, flip_normal)
+    field = curvature_field(patch, u_grid, v_grid)
     res = params.a * field.H + params.b * field.K - params.c
     return float(np.max(np.abs(res))), field
 

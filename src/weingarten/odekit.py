@@ -3,13 +3,13 @@ scalar-event detection, and bracketing root refinement.
 
 The stepper is a Dormand-Prince 5(4) pair with the standard quartic
 interpolant. Everything is plain float arithmetic: identical inputs produce
-bit-identical trajectories. ``rhs``, guards and ``Event.fn`` receive the state
-as an indexable sequence of floats: a tuple while stepping, an array in the
-starting-step estimate and on dense output. An ``rhs`` may return a tuple.
+bit-identical trajectories. ``rhs`` and ``Event.fn`` receive the state as an
+indexable sequence of floats: a tuple while stepping, an array in the
+starting-step estimate and on dense output; ``IvpSpec`` says what rhs returns.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,9 +78,10 @@ class Event:
 @dataclass(frozen=True)
 class IvpSpec:
     """Initial value problem: y' = rhs(s, y), y(s0) = y0. rhs receives y as
-    an indexable sequence of floats and returns one (a tuple is cheapest)."""
+    an indexable sequence of floats and returns one (a tuple is cheapest),
+    or None where y is outside its admissible region."""
 
-    rhs: Callable[[float, Sequence[float]], Sequence[float]]
+    rhs: Callable[[float, Sequence[float]], Optional[Sequence[float]]]
     s0: float
     y0: Sequence[float]
     rtol: float = 1e-10
@@ -198,14 +199,19 @@ def _rms_norm(v: np.ndarray) -> float:
 def _initial_step(rhs, s0, y0, direction, rtol, atol):
     # Hairer-Norsett-Wanner starting-step heuristic (deterministic). Returns
     # the step and f0 = rhs(s0, y0).
-    f0 = np.asarray(rhs(s0, y0), dtype=float)
+    f0 = rhs(s0, y0)
+    if f0 is None:
+        raise ValueError("initial state is outside the right-hand side's admissible region")
+    f0 = np.asarray(f0, dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(rhs(s0 + h0 * direction, y1), dtype=float)
-    d2 = _rms_norm((f1 - f0) / scale) / h0
+    f1 = rhs(s0 + h0 * direction, y1)
+    if f1 is None:
+        return h0, f0  # the probe is outside the admissible region
+    d2 = _rms_norm((np.asarray(f1, dtype=float) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -218,12 +224,12 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
     or a step underflow, and return the trajectory with the stop reason:
     ``reached_end``, ``event``, ``guard`` or ``step_underflow``.
 
-    The guard predicate is checked at every stage state before the right-hand
-    side is evaluated there; a step that would leave the admissible region is
-    retried with half the step, and if no admissible step remains the
-    trajectory ends at the last accepted point with reason ``guard``. When
-    the error controller alone (no guard involvement) demands a step below
-    the minimum, it ends there with reason ``step_underflow``.
+    A step with a stage where ``rhs`` returns None is retried with half the
+    step; if no admissible step remains, the run ends at the last accepted
+    point with reason ``guard``. A non-finite stage rejects the step through
+    the error controller; when that alone demands a step below the minimum,
+    the run ends with reason ``step_underflow``. ValueError if ``rhs`` is
+    None at the start. A false ``guard(s, y)`` blocks ``rhs`` the same way.
 
     An event stops the run at the root of g on the step's dense quartic.
     Where that root is within roundoff of the step end (g crossed at the
@@ -233,11 +239,11 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
     The tableau products stay BLAS ``dot`` calls: BLAS contracts them with
     FMA, so sums in Python floats would move the bits of every trajectory.
     """
+    if guard is not None:
+        spec = replace(spec, rhs=lambda s, y, f=spec.rhs: f(s, y) if guard(s, y) else None)
     rhs, rtol, atol = spec.rhs, spec.rtol, spec.atol
     s = float(spec.s0)
     y = tuple(np.asarray(spec.y0, dtype=float).tolist())
-    if guard is not None and not guard(s, y):
-        raise ValueError("initial state does not satisfy the guard")
 
     direction = 1.0 if s_end >= s else -1.0
     h, f0 = _initial_step(rhs, s, np.array(y), direction, rtol, atol)
@@ -251,7 +257,6 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
     K[0] = f0
     # (K[:i]^T product, weights, node, row of K) of the six new stages
     stages = [(K[:i].T.dot, _A[i], _C[i], K[i]) for i in range(1, 7)]
-    f0_finite = all(map(math.isfinite, f0.tolist()))
     eps16 = 16 * np.finfo(float).eps
     step_rejected = False
 
@@ -277,26 +282,28 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
 
         guard_blocked = False
         while True:
-            # Build the six new stages; check the guard before each RHS call.
-            finite, hd = f0_finite, h * direction
+            # Build the six new stages: a None stage halves h, a non-finite one is rejected below.
+            hd = h * direction
             for k_dot, a, c, k_row in stages:
                 yi = tuple([yk + hd * vk for yk, vk in zip(y, k_dot(a).tolist())])
-                si = s + c * h * direction
-                if guard is not None and not guard(si, yi):
+                fi = rhs(s + c * h * direction, yi)
+                if fi is None or not all(map(math.isfinite, fi)):
                     break
-                k_row[:] = fi = rhs(si, yi)
-                finite = finite and all(map(math.isfinite, fi))
+                k_row[:] = fi
             else:
+                break
+            if fi is not None:
                 break
             h *= 0.5
             guard_blocked = True
             if h < h_min:
                 return finish(GUARD_STOP)
 
-        y_new = yi  # FSAL: the stage-6 state is the fifth-order solution
-        if not (finite and all(map(math.isfinite, y_new))):
+        # A non-finite f0 makes the stage-6 state non-finite.
+        if not (all(map(math.isfinite, fi)) and all(map(math.isfinite, yi))):
             err = math.inf
         else:
+            y_new = yi  # FSAL: the stage-6 state is the fifth-order solution
             acc = 0.0
             for ek, y0k, y1k in zip(K.T.dot(_E).tolist(), y, y_new):
                 r = h * ek / (atol + rtol * max(abs(y0k), abs(y1k)))

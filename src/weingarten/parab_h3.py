@@ -12,7 +12,7 @@ to the turning-angle equation
 
     theta' = 2 (1 - a cos(theta) + b sin^2(theta)) / (z (a + 2b cos(theta))).
 
-This module integrates that equation with guard/event handling for the
+This module integrates that equation with event handling for the
 finite-time breakdown cases, classifies parameter pairs into the six named
 cases, solves the circle and boundary-angle subproblems, and verifies the
 differentiated-relation identity along trajectories.
@@ -158,11 +158,12 @@ def _solve(a: float, b: float, z0: float, tol: float, s_end: float, events=()) -
         *events,
     )
 
-    def guard(s, y):
-        return y[1] > 0.0 and abs(_den(a, b, math.cos(y[2]))) > HARD_DENOMINATOR_FLOOR
+    def theta_prime(z, ct, st):
+        if z > 0.0 and abs(_den(a, b, ct)) > HARD_DENOMINATOR_FLOOR:
+            return _theta_prime(a, b, z, ct, st)
+        return None
 
-    spec = profile_spec(lambda z, ct, st: _theta_prime(a, b, z, ct, st), z0, tol, events)
-    return integrate(spec, s_end, guard=guard)
+    return integrate(profile_spec(theta_prime, z0, tol, events), s_end)
 
 
 def _check_z0(z0: float) -> None:
@@ -190,8 +191,8 @@ def integrate_parabolic(
 
     The breakdown events encode the finite maximal-interval cases of the
     classification; they terminate the run cleanly and are recorded in
-    ``cause``. A hard guard keeps the right-hand side evaluations away from
-    z <= 0 and |a + 2b cos(theta)| <= 1e-9.
+    ``cause``. The right-hand side returns None (a blocked stage) where
+    z <= 0 or |a + 2b cos(theta)| <= 1e-9.
     """
     _check_z0(z0)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality

@@ -153,10 +153,10 @@ class HyperbolicProfile:
 
 def _solve(p: WeingartenParams, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
-    s_end, guarded by the positivity of the denominator a z + 2 b cos(theta)."""
+    s_end; theta' is admissible where a z + 2 b cos(theta) > 0."""
     a, b = p.a, p.b
-    spec = profile_spec(lambda z, ct, st: _theta_prime(p, z, ct), z0, tol, events)
-    return integrate(spec, s_end, guard=lambda s, y: a * y[1] + 2 * b * math.cos(y[2]) > 0.0)
+    theta_prime = lambda z, ct, st: _theta_prime(p, z, ct) if a * z + 2 * b * ct > 0.0 else None
+    return integrate(profile_spec(theta_prime, z0, tol, events), s_end)
 
 
 def integrate_profile(
@@ -167,8 +167,8 @@ def integrate_profile(
 ) -> HyperbolicProfile:
     """Integrate the profile over ``n_periods`` full turns of theta.
 
-    Raises GuardViolationError if the denominator guard or the strict
-    negativity of theta' fails (the theory proves both cannot happen for
+    Raises GuardViolationError if the positivity of the denominator or the
+    strict negativity of theta' fails (the theory proves both cannot happen for
     admissible parameters, so a trigger means a bug or bad input).
     """
     if n_periods < 1:

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -418,8 +419,9 @@ def test_traced_layers_resolve_in_the_library():
         target = lib.Trajectory.__call__ if name == "odekit.dense_eval" else getattr(lib, attr, None)
         assert callable(target), name
     # It also reads these odekit names, rebuilds the IvpSpec with a counting
-    # rhs through dataclasses.replace, and finds the families' integrate by
-    # identity with odekit.integrate.
+    # rhs through dataclasses.replace, finds the families' integrate by
+    # identity with odekit.integrate, and calls it as fn(spec, s_end, guard).
+    inspect.signature(odekit.integrate).bind(odekit.IvpSpec(rhs=None, s0=0.0, y0=[0.0]), 1.0, None)
     assert issubclass(odekit.StepUnderflowError, Exception)
     assert isinstance(odekit.GUARD_STOP, str) and isinstance(odekit.UNDERFLOW, str)
     assert "rhs" in {f.name for f in dataclasses.fields(odekit.IvpSpec)}

@@ -160,16 +160,6 @@ def test_principal_curvature_identities():
                 assert c.k1 >= c.k2
 
 
-def test_normal_flip_negates_mean_curvature():
-    for patch in (sphere_patch(1.3), cylinder_patch(2.0)):
-        c_plus = curvatures(patch, 0.9, 1.0)
-        c_minus = curvatures(patch, 0.9, 1.0, flip_normal=True)
-        assert abs(c_plus.H + c_minus.H) < 1e-13
-        assert abs(c_plus.K - c_minus.K) < 1e-13
-        assert abs(c_plus.k1 + c_minus.k2) < 1e-12
-        assert abs(c_plus.k2 + c_minus.k1) < 1e-12
-
-
 def test_finite_difference_oracle_matches_analytic():
     # H and K from numerically differentiated position agree with the
     # analytic-derivative values to 1e-5 relative (step 1e-4).
@@ -235,27 +225,22 @@ def test_check_derivatives_names_the_wrong_partial(k, name):
 
 def test_weingarten_residual_sphere():
     patch = sphere_patch(1.0)
-    # With the inward normal of this parametrization H = +1; (2,0,2) matches.
+    # X_u x X_v is the outward normal of this parametrization, so H = -1;
+    # (-2, 0, 2) matches.
     u = np.linspace(0.5, 2.5, 7)
     v = np.linspace(0.2, 6.0, 7)
-    res, _ = weingarten_residual(patch, WeingartenParams(2, 0, 2), u, v, flip_normal=_sphere_flip())
+    res, _ = weingarten_residual(patch, WeingartenParams(-2, 0, 2), u, v)
     assert res < 1e-10
-
-
-def _sphere_flip():
-    # Determine once which orientation of the test sphere gives H = +1.
-    c = curvatures(sphere_patch(1.0), 1.0, 1.0)
-    return c.H < 0
 
 
 def test_weingarten_residual_cylinder_exact_and_off():
     patch = cylinder_patch(1.0)
+    # X_u x X_v is the inward normal of this parametrization, so H = +1/2.
     u = np.linspace(-0.9, 0.9, 5)
     v = np.linspace(0.1, 6.1, 9)
-    flip = curvatures(patch, 0.0, 0.3).H < 0
-    res_ok, _ = weingarten_residual(patch, WeingartenParams(2, 0, 1), u, v, flip_normal=flip)
+    res_ok, _ = weingarten_residual(patch, WeingartenParams(2, 0, 1), u, v)
     assert res_ok < 1e-10
-    res_off, _ = weingarten_residual(patch, WeingartenParams(2, 0, 0.9), u, v, flip_normal=flip)
+    res_off, _ = weingarten_residual(patch, WeingartenParams(2, 0, 0.9), u, v)
     assert abs(res_off - 0.1) < 1e-10
 
 
@@ -309,14 +294,14 @@ def test_params_discriminant_family():
 # Grid engine against the per-point reference
 # ---------------------------------------------------------------------------
 
-def reference_point(patch, u, v, flip=False):
+def reference_point(patch, u, v):
     """Forms and curvatures at one point, computed as the per-point engine
     did: np.cross, @ and np.linalg.norm on length-3 vectors, then the scalar
     H/K formula in Python floats."""
     xu, xv, xuu, xuv, xvv = (d[0, 0] for d in patch.partials(np.array([u]), np.array([v])))
     n = np.cross(xu, xv)
     norm = float(np.linalg.norm(n))
-    n = -n / norm if flip else n / norm
+    n = n / norm
     E, F, G = float(xu @ xu), float(xu @ xv), float(xv @ xv)
     e, f, g = float(xuu @ n), float(xuv @ n), float(xvv @ n)
     W = E * G - F * F
@@ -330,17 +315,16 @@ def test_curvature_field_bit_identical_to_per_point_reference(paper_patches):
     for name, patch in paper_patches.items():
         us = np.linspace(*patch.u_range, 23)
         vs = np.linspace(*patch.v_range, 9, endpoint=False)
-        for flip in (False, True):
-            field = curvature_field(patch, us, vs, flip_normal=flip)
-            got = np.column_stack([field.E, field.F, field.G, field.e, field.f, field.g,
-                                   field.H, field.K, field.k1, field.k2])
-            want = np.array([reference_point(patch, u, v, flip) for u in us for v in vs])
-            assert np.array_equal(got, want), name
-            assert np.array_equal(field.u, np.repeat(us, len(vs)))
-            assert np.array_equal(field.v, np.tile(vs, len(us)))
+        field = curvature_field(patch, us, vs)
+        got = np.column_stack([field.E, field.F, field.G, field.e, field.f, field.g,
+                               field.H, field.K, field.k1, field.k2])
+        want = np.array([reference_point(patch, u, v) for u in us for v in vs])
+        assert np.array_equal(got, want), name
+        assert np.array_equal(field.u, np.repeat(us, len(vs)))
+        assert np.array_equal(field.v, np.tile(vs, len(us)))
         u, v = float(us[5]), float(vs[3])
         assert tuple(curvatures(patch, u, v)) == reference_point(patch, u, v)[6:], name
-        assert tuple(fundamental_forms(patch, u, v, flip_normal=True)) == reference_point(patch, u, v, True)[:6]
+        assert tuple(fundamental_forms(patch, u, v)) == reference_point(patch, u, v)[:6], name
 
 
 @pytest.mark.parametrize("u_grid, v_grid", [([], [0.0, 1.0]), ([0.0, 1.0], []), (np.empty(0), np.empty(0))])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -68,6 +69,42 @@ def test_guard_checked_on_initial_state():
         integrate(spec, 1.0, guard=lambda s, y: y[0] > 0.0)
 
 
+def test_none_rhs_on_initial_state_raises():
+    spec = IvpSpec(rhs=lambda s, y: (-1.0,) if y[0] > 0.0 else None, s0=0.0, y0=[-1.0])
+    with pytest.raises(ValueError, match="admissible region"):
+        integrate(spec, 1.0)
+
+
+def test_none_rhs_stops_exactly_like_the_guard():
+    # The system of test_guard_stops_before_crossing, with the region in
+    # the rhs: the same blocked steps, bit for bit.
+    spec = IvpSpec(rhs=lambda s, y: np.array([-1.0]), s0=0.0, y0=[1.0], rtol=1e-9, atol=1e-12)
+    guarded = integrate(spec, 5.0, guard=lambda s, y: y[0] > 0.0)
+    blocked = integrate(dataclasses.replace(spec, rhs=lambda s, y: (-1.0,) if y[0] > 0.0 else None), 5.0)
+    assert blocked.reason == guarded.reason == odekit.GUARD_STOP
+    assert np.array_equal(blocked.s, guarded.s)
+    assert np.array_equal(blocked.states, guarded.states)
+
+
+def test_blocked_starting_step_probe_keeps_the_first_guess():
+    # y' = 1 from y = 1: the starting-step probe lands at s = 0.01, inside a
+    # window where the rhs returns None. The run keeps the first guess 0.01,
+    # whose last stage meets the window too, so the first step is 0.005;
+    # then it steps around the window to s = 1.
+    probes = []
+
+    def rhs(s, y):
+        probes.append(s)
+        return None if 0.009 < s < 0.011 else (1.0,)
+
+    traj = integrate(IvpSpec(rhs=rhs, s0=0.0, y0=[1.0]), 1.0)
+    assert probes[1] == 0.01
+    assert traj.s[1] == 0.005
+    assert traj.reason == odekit.REACHED_END
+    assert traj.s_end == 1.0
+    assert abs(traj.states[-1, 0] - 2.0) < 1e-12
+
+
 def test_step_underflow_on_finite_time_blowup():
     # y' = y^2, y(0) = 1 blows up at s = 1.
     spec = IvpSpec(rhs=lambda s, y: (y[0] * y[0],), s0=0.0, y0=[1.0], rtol=1e-10, atol=1e-12)
@@ -76,7 +113,7 @@ def test_step_underflow_on_finite_time_blowup():
     assert partial.s[-1] < 1.0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_rhs_ends_in_step_underflow_with_finite_output(bad):
     # y' = cos(s) has no finite value beyond s = 0.5: every step reaching

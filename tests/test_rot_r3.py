@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weingarten import geomcore, rot_r3
+from weingarten import geomcore, odekit, rot_r3
 from weingarten.errors import DegeneratePointError
 from weingarten.geomcore import SurfacePatch, WeingartenParams, grid_vec
 
@@ -73,6 +73,44 @@ def test_coarse_tolerance_canary():
     prof = rot_r3.integrate_profile(FIG3, 3.0, n_periods=3, tol=1e-3)
     rep = rot_r3.first_integral_residual(prof)
     assert rep.max_residual > 1e-6
+
+
+def test_one_cosine_per_rhs_call(monkeypatch):
+    # The Fig. 3 solve tests its admissible region (a z + 2b cos(theta) > 0)
+    # on the right-hand side's own cosine: one math.cos per RHS call.
+    counts = {"cos": 0, "rhs": 0}
+    cos = math.cos
+
+    def counted_cos(x):
+        counts["cos"] += 1
+        return cos(x)
+
+    def counted_integrate(spec, s_end, guard=None):
+        def rhs(s, y):
+            counts["rhs"] += 1
+            return spec.rhs(s, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(math, "cos", counted_cos)
+            return odekit.integrate(dataclasses.replace(spec, rhs=rhs), s_end, guard)
+
+    monkeypatch.setattr(rot_r3, "integrate", counted_integrate)
+    rot_r3.integrate_profile(FIG3, 3.0, n_periods=3, tol=1e-10)
+    assert counts["rhs"] > 1000
+    assert counts["cos"] == counts["rhs"]
+
+
+def test_solve_stops_where_the_denominator_vanishes():
+    # Outside the studied parameters a z + 2b cos(theta) reaches 0: the run
+    # ends just before it with reason guard. A start outside the region is
+    # refused.
+    p = WeingartenParams(-2, 2, 1)
+    traj = rot_r3._solve(p, -3.0, 1e-10, 30.0)
+    assert traj.reason == odekit.GUARD_STOP
+    z, theta = traj.states[-1, 1:]
+    assert 0.0 < p.a * z + 2 * p.b * math.cos(theta) < 1e-5
+    with pytest.raises(ValueError, match="admissible region"):
+        rot_r3._solve(FIG3, 0.5, 1e-10, 30.0)
 
 
 def test_theta_strictly_decreasing(fig3_profile):
