@@ -21,13 +21,11 @@ from .errors import (
 from .geomcore import (
     CurvatureField,
     Curvatures,
-    FundamentalForms,
     SurfacePatch,
     WeingartenParams,
     curvature_field,
     curvatures,
     finite_difference_patch,
-    fundamental_forms,
     weingarten_residual,
 )
 from .odekit import Event, IvpSpec, Trajectory, find_root, integrate
@@ -39,7 +37,6 @@ __all__ = [
     "Curvatures",
     "DegeneratePointError",
     "Event",
-    "FundamentalForms",
     "GuardViolationError",
     "IvpSpec",
     "NonPositiveRadiusError",
@@ -57,7 +54,6 @@ __all__ = [
     "curvatures",
     "find_root",
     "finite_difference_patch",
-    "fundamental_forms",
     "integrate",
     "weingarten_residual",
 ]

@@ -205,13 +205,13 @@ def sphere_slice(radius: float = 1.0, u_range=(None, None)) -> CyclicSurfaceSpec
     return CyclicSurfaceSpec(u_range=_u_range(u_range), jets=jets)
 
 
-def max_curvature_magnitudes(spec: CyclicSurfaceSpec, n_u: int = 40, n_v: int = 48):
-    """(max |H|, max |K|) of the patch over a regular grid."""
+def max_curvature_magnitudes(spec: CyclicSurfaceSpec):
+    """(max |H|, max |K|) of the patch over a regular 40 x 48 grid."""
     patch = cyclic_patch(spec)
     u0, u1 = spec.u_range
     margin = 1e-9 * max(1.0, abs(u1 - u0))
-    us = np.linspace(u0 + margin, u1 - margin, n_u)
-    vs = np.linspace(0.0, 2 * math.pi, n_v, endpoint=False)
+    us = np.linspace(u0 + margin, u1 - margin, 40)
+    vs = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     field = geomcore.curvature_field(patch, us, vs)
     return float(np.max(np.abs(field.H))), float(np.max(np.abs(field.K)))
 
@@ -315,10 +315,9 @@ def coefficients_json(tc: TrigCoefficients, tol: float = 1e-8) -> dict:
     }
 
 
-def export_residual_csv(spec: CyclicSurfaceSpec, params: WeingartenParams, path,
-                        n_u: int = 20, n_v: int = 32) -> None:
-    """Relation residual over the (u, v) grid: columns u,v,residual."""
-    us = np.linspace(*spec.u_range, n_u)
-    vs = np.linspace(0.0, 2 * math.pi, n_v, endpoint=False)
+def export_residual_csv(spec: CyclicSurfaceSpec, params: WeingartenParams, path) -> None:
+    """Relation residual over a 20 x 32 (u, v) grid: columns u,v,residual."""
+    us = np.linspace(*spec.u_range, 20)
+    vs = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
     field = geomcore.curvature_field(cyclic_patch(spec), us, vs)
     write_csv(path, ["u", "v", "residual"], [field.u, field.v, params.residual(field.H, field.K)])

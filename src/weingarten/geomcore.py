@@ -92,15 +92,6 @@ def mirror_defects(forward, backward, s) -> np.ndarray:
     return np.max(np.abs(backward(-s) - forward(s) * np.array([-1.0, 1.0, -1.0])), axis=0)
 
 
-class FundamentalForms(NamedTuple):
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-
-
 class Curvatures(NamedTuple):
     H: float
     K: float
@@ -120,13 +111,6 @@ class WeingartenParams:
     def discriminant(self) -> float:
         return self.a * self.a + 4.0 * self.b * self.c
 
-    @property
-    def family(self) -> str:
-        d = self.discriminant
-        if abs(d) < 1e-12:
-            return "tube"
-        return "elliptic" if d > 0 else "hyperbolic"
-
     def residual(self, H: float, K: float) -> float:
         return self.a * H + self.b * K - self.c
 
@@ -144,11 +128,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _forms(patch: SurfacePatch, u_grid, v_grid, check_metric: bool):
+def _forms(patch: SurfacePatch, u_grid, v_grid):
     """Grid axes, the (n_u, n_v) forms E, F, G, e, f, g, and EG - F^2.
     Raises DegeneratePointError at the first point in row-major order where
-    |X_u x X_v| < DEGENERACY_EPS or, with ``check_metric``, EG - F^2 <= 0
-    (the normal first); NaN passes both tests."""
+    |X_u x X_v| < DEGENERACY_EPS or EG - F^2 <= 0 (the normal first); NaN
+    passes both tests."""
     us = np.asarray(u_grid, dtype=float)
     vs = np.asarray(v_grid, dtype=float)
     if us.ndim != 1 or vs.ndim != 1 or us.size == 0 or vs.size == 0:
@@ -159,7 +143,7 @@ def _forms(patch: SurfacePatch, u_grid, v_grid, check_metric: bool):
     E, F, G = _dot(xu, xu), _dot(xu, xv), _dot(xv, xv)
     W = E * G - F * F
     bad_normal = norm < DEGENERACY_EPS
-    bad = bad_normal | (W <= 0) if check_metric else bad_normal
+    bad = bad_normal | (W <= 0)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         u, v = float(us[i]), float(vs[j])
@@ -183,17 +167,10 @@ def _curvatures(forms, W):
     return H, K, H + root, H - root
 
 
-def fundamental_forms(patch: SurfacePatch, u: float, v: float) -> FundamentalForms:
-    """E, F, G and e, f, g at an interior point; raises DegeneratePointError
-    where the parametrization is singular."""
-    _, _, forms, _ = _forms(patch, [u], [v], check_metric=False)
-    return FundamentalForms(*(float(a[0, 0]) for a in forms))
-
-
 def curvatures(patch: SurfacePatch, u: float, v: float) -> Curvatures:
     """H, K and k1 >= k2 at one point; raises DegeneratePointError where the
     parametrization or its first fundamental form is singular."""
-    _, _, forms, W = _forms(patch, [u], [v], check_metric=True)
+    _, _, forms, W = _forms(patch, [u], [v])
     return Curvatures(*(float(a[0, 0]) for a in _curvatures(forms, W)))
 
 
@@ -218,7 +195,7 @@ class CurvatureField:
 def curvature_field(patch: SurfacePatch, u_grid, v_grid) -> CurvatureField:
     """Forms and curvatures at every (u, v) of two non-empty 1-D grids, u
     outer; ``partials`` is called once. ValueError on an empty grid."""
-    us, vs, forms, W = _forms(patch, u_grid, v_grid, check_metric=True)
+    us, vs, forms, W = _forms(patch, u_grid, v_grid)
     columns = [c.ravel() for c in (*forms, *_curvatures(forms, W))]
     return CurvatureField(np.repeat(us, len(vs)), np.tile(vs, len(us)), *columns)
 

@@ -60,10 +60,9 @@ UNDERFLOW = "step_underflow"
 
 @dataclass(frozen=True)
 class Event:
-    """Scalar crossing monitor g(s, y) = 0; the integration stops at the
-    first crossing.
-
-    direction: +1 counts only -/+ crossings, -1 only +/-, 0 both.
+    """Scalar crossing monitor g(s, y): the integration stops on the first
+    accepted step across which g falls from > 0 to <= 0. A g that rises
+    through zero never stops a run; negate it to watch a rising quantity.
 
     g is compared only at the ends of each accepted step, so an even number
     of sign changes inside one step (g dipping across zero and back) goes
@@ -71,7 +70,6 @@ class Event:
     """
 
     fn: Callable[[float, Sequence[float]], float]
-    direction: int = 0
     name: str = ""
 
 
@@ -138,9 +136,6 @@ class Trajectory:
         d = self.direction
         return np.searchsorted(self.s[1:-1] * d, s * d, side="right")
 
-    def eval_segment(self, i: int, s: float) -> np.ndarray:
-        return _quartic(s, self.s[i], self._seg_h[i], self.states[i], self._seg_q[i])
-
     def __call__(self, s):
         """Dense output at ``s``: a scalar gives shape ``(dim,)``, an array of
         shape ``(n,)`` gives ``(n, dim)``.
@@ -151,7 +146,9 @@ class Trajectory:
         is bit-identical to a stack of scalar calls.
         """
         if np.ndim(s) == 0:
-            return self.eval_segment(int(self._segment_index(float(s))), float(s))
+            s = float(s)
+            i = int(self._segment_index(s))
+            return _quartic(s, self.s[i], self._seg_h[i], self.states[i], self._seg_q[i])
         s = np.asarray(s, dtype=float)
         idx = self._segment_index(s)
         h = self._seg_h[idx]
@@ -203,6 +200,8 @@ def _initial_step(rhs, s0, y0, direction, rtol, atol):
     if f0 is None:
         raise ValueError("initial state is outside the right-hand side's admissible region")
     f0 = np.asarray(f0, dtype=float)
+    if not (np.isfinite(y0).all() and np.isfinite(f0).all()):
+        raise ValueError(f"initial state {y0.tolist()} or its derivative {f0.tolist()} is not finite")
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
@@ -229,7 +228,8 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
     point with reason ``guard``. A non-finite stage rejects the step through
     the error controller; when that alone demands a step below the minimum,
     the run ends with reason ``step_underflow``. ValueError if ``rhs`` is
-    None at the start. A false ``guard(s, y)`` blocks ``rhs`` the same way.
+    None at the start, or if the initial state or its derivative is not
+    finite. A false ``guard(s, y)`` blocks ``rhs`` the same way.
 
     An event stops the run at the root of g on the step's dense quartic.
     Where that root is within roundoff of the step end (g crossed at the
@@ -299,7 +299,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
             if h < h_min:
                 return finish(GUARD_STOP)
 
-        # A non-finite f0 makes the stage-6 state non-finite.
+        # A non-finite stage, or a stage-6 state that overflowed, is rejected.
         if not (all(map(math.isfinite, fi)) and all(map(math.isfinite, yi))):
             err = math.inf
         else:
@@ -329,13 +329,7 @@ def integrate(spec: IvpSpec, s_end: float, guard: Callable[[float, Sequence[floa
             g_old = ev_vals[j]
             g_new = ev.fn(s_new, y_new)
             ev_vals[j] = g_new
-            crossed = (g_old < 0 <= g_new) or (g_old > 0 >= g_new)
-            if not crossed or g_old == 0.0:
-                continue
-            rising = g_old < 0
-            if ev.direction > 0 and not rising:
-                continue
-            if ev.direction < 0 and rising:
+            if not g_old > 0 >= g_new:
                 continue
             # Localize on the step's dense quartic, formed only for a crossing.
             q, y_arr = K.T @ _P, np.array(y)

@@ -43,15 +43,6 @@ CASE_INCOMPLETE_GRAPH = "IncompleteGraph"
 CASE_PERIODIC_COMPLETE = "PeriodicComplete"
 CASE_INCOMPLETE_NON_GRAPH = "IncompleteNonGraph"
 
-ALL_CASES = (
-    CASE_DEGENERATE_LINE,
-    CASE_EUCLIDEAN_CIRCLE,
-    CASE_COMPLETE_CONCAVE_GRAPH,
-    CASE_INCOMPLETE_GRAPH,
-    CASE_PERIODIC_COMPLETE,
-    CASE_INCOMPLETE_NON_GRAPH,
-)
-
 HARD_DENOMINATOR_FLOOR = 1e-9
 Z_FLOOR = 1e-8  # height at which the z -> 0 breakdown event fires
 DEN_FLOOR = 1e-6  # |a + 2b cos(theta)| at which the denominator event fires
@@ -153,8 +144,8 @@ def _solve(a: float, b: float, z0: float, tol: float, s_end: float, events=()) -
     """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
     s_end, stopping at the breakdown events and then at ``events``."""
     events = (
-        Event(fn=lambda s, y: y[1] - Z_FLOOR, direction=-1, name="z_floor"),
-        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - DEN_FLOOR, direction=-1, name="denominator"),
+        Event(fn=lambda s, y: y[1] - Z_FLOOR, name="z_floor"),
+        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - DEN_FLOOR, name="denominator"),
         *events,
     )
 
@@ -197,7 +188,7 @@ def integrate_parabolic(
     _check_z0(z0)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
-    angle_span = Event(fn=lambda s, y: abs(y[2]) - 2 * math.pi * MAX_TURNS, direction=+1, name="angle_span")
+    angle_span = Event(fn=lambda s, y: 2 * math.pi * MAX_TURNS - abs(y[2]), name="angle_span")
     traj = _solve(a, b, z0, tol, horizon, events=(angle_span,))
     if traj.reason == odekit.UNDERFLOW and len(traj.s) == 1:
         raise StepUnderflowError(f"the first step from z0 = {z0} underflows: nothing to verify", trajectory=traj)
@@ -333,8 +324,8 @@ class ParabClassification:
     a_minus_2b: float
     theta1: Optional[float]
     theta1_statement_equation: Optional[float]
-    termination_cause: Optional[str]
-    corroborated: Optional[bool]
+    termination_cause: str
+    corroborated: bool
     corroboration: dict
 
 
@@ -426,7 +417,7 @@ def _corroborate(profile: ParabolicProfile, label: str, theta1: Optional[float])
     return False, notes
 
 
-def classify(a: float, b: float, z0: float, corroborate: bool = True, tol: float = 1e-11) -> ParabClassification:
+def classify(a: float, b: float, z0: float, tol: float = 1e-11) -> ParabClassification:
     """Decision tree over (a, b, z0) with c = 1.
 
     Degenerate-line and circle tests apply for any a; the four-way tree
@@ -470,13 +461,8 @@ def classify(a: float, b: float, z0: float, corroborate: bool = True, tol: float
         else:
             label = CASE_PERIODIC_COMPLETE if a - 2 * b > 0 else CASE_INCOMPLETE_NON_GRAPH
 
-    cause = None
-    corroborated = None
-    notes: dict = {}
-    if corroborate:
-        profile = integrate_parabolic(a, b, z0, tol=tol)
-        cause = profile.cause
-        corroborated, notes = _corroborate(profile, label, theta1)
+    profile = integrate_parabolic(a, b, z0, tol=tol)
+    corroborated, notes = _corroborate(profile, label, theta1)
 
     return ParabClassification(
         label=label,
@@ -489,7 +475,7 @@ def classify(a: float, b: float, z0: float, corroborate: bool = True, tol: float
         a_minus_2b=a - 2 * b,
         theta1=theta1,
         theta1_statement_equation=boundary_angle_statement_equation(a, b),
-        termination_cause=cause,
+        termination_cause=profile.cause,
         corroborated=corroborated,
         corroboration=notes,
     )
@@ -598,9 +584,10 @@ def mirror_defect(profile: ParabolicProfile) -> float:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-def export_curve_csv(profile: ParabolicProfile, path, n: int = 2001) -> None:
-    """Full symmetric curve: s,x,z,theta,theta_prime,kappa1,kappa2,relation_residual."""
-    s, x, z, theta, tp, k1, k2 = profile.mirrored_sample(n)
+def export_curve_csv(profile: ParabolicProfile, path) -> None:
+    """Full symmetric curve at 2001 samples:
+    s,x,z,theta,theta_prime,kappa1,kappa2,relation_residual."""
+    s, x, z, theta, tp, k1, k2 = profile.mirrored_sample(2001)
     write_csv(path, ["s", "x", "z", "theta", "theta_prime", "kappa1", "kappa2", "relation_residual"],
               [s, x, z, theta, tp, k1, k2, relation_residual(profile.a, profile.b, z, theta, tp)])
 

@@ -83,9 +83,16 @@ class SlopeBounds:
 
     M = eta2/delta2 is the textbook constant; its derivation silently assumes
     the denominator bound delta2 which only holds for cos(theta) >= 0, so M
-    is a true bound only when it is no tighter than the sharp bound M_sharp
-    obtained by maximizing theta' along the closed-form height curve.
+    is a true bound only when it is no tighter than the sharp bound M_sharp,
+    the maximum of theta' along the closed-form height curve.
     ``formula_bound_valid`` records whether M applies to these parameters.
+
+    M_sharp is theta' at theta = pi. With c = cos(theta), D = a^2 + 4b < 0
+    and R = sqrt(D c^2 + 4 f(z0)), the closed-form height z = (a c + R)/2
+    gives a z + 2b c = (D c + a R)/2 and a c - 2z = -R, so
+    -2/theta' = a + D c/R. As d(c/R)/dc = 4 f(z0)/R^3 > 0 and D < 0, the
+    positive -2/theta' is largest at c = -1, and there the negative theta'
+    is closest to zero.
     """
 
     f_z0: float
@@ -93,22 +100,8 @@ class SlopeBounds:
     delta2: float   # claimed denominator upper bound (valid for cos(theta) >= 0)
     eta2: float     # numerator upper bound
     M: float        # eta2 / delta2
-    M_sharp: float  # max of theta' over the closed-form curve; always valid
+    M_sharp: float  # max of theta' over the closed-form curve (at theta = pi); always valid
     formula_bound_valid: bool
-
-
-def _sharp_slope_bound(params: WeingartenParams, z0: float) -> float:
-    c = np.linspace(-1.0, 1.0, 4097)
-    tp = _theta_prime(params, _height(params, z0, c), c)
-    k = int(np.argmax(tp))
-    if 0 < k < len(c) - 1:
-        # parabolic refinement of the grid maximum
-        y0, y1, y2 = tp[k - 1], tp[k], tp[k + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom < 0:
-            dc = 0.5 * (y0 - y2) / denom
-            return float(y1 - 0.25 * (y0 - y2) * dc)
-    return float(tp[k])
 
 
 def slope_bounds(params: WeingartenParams, z0: float) -> SlopeBounds:
@@ -119,7 +112,7 @@ def slope_bounds(params: WeingartenParams, z0: float) -> SlopeBounds:
     delta2 = a * math.sqrt(f_z0)
     eta2 = -math.sqrt((a * a + 4 * b) + 4 * f_turn)
     M = eta2 / delta2
-    M_sharp = _sharp_slope_bound(params, z0)
+    M_sharp = float(_theta_prime(params, _height(params, z0, -1.0), -1.0))
     return SlopeBounds(
         f_z0=f_z0, eta=eta, delta2=delta2, eta2=eta2, M=M,
         M_sharp=M_sharp, formula_bound_valid=bool(M_sharp <= M + 1e-12),
@@ -181,7 +174,7 @@ def integrate_profile(
         )
     bounds = slope_bounds(p, z0)
     theta_goal = -2.0 * math.pi * n_periods
-    full_turns = Event(fn=lambda s, y: y[2] - theta_goal, direction=-1, name="full_turns")
+    full_turns = Event(fn=lambda s, y: y[2] - theta_goal, name="full_turns")
     # theta' <= M < 0, so each turn takes at most 2*pi/|M|.
     horizon = 2.0 * math.pi * n_periods / abs(bounds.M) * 1.05 + 1.0
     traj = _solve(p, z0, tol, horizon, events=(full_turns,))

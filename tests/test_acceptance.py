@@ -126,12 +126,12 @@ def test_criterion_7_derivative_identity():
 def test_criterion_8_cyclic_suite(poly_jets):
     checks = {}
     cone = cyclic_r3.generalized_cone(0, 0.3, 0, 0.4, 1, 0.5)
-    _, max_k = cyclic_r3.max_curvature_magnitudes(cone, 30, 36)
+    _, max_k = cyclic_r3.max_curvature_magnitudes(cone)
     checks["cone_flat_below_1e9"] = max_k < 1e-9
 
     for lam, mu in [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)]:
         spec = cyclic_r3.riemann_example(lam, mu, 1.0, 0.0, (-1, 1))
-        max_h, _ = cyclic_r3.max_curvature_magnitudes(spec, 25, 32)
+        max_h, _ = cyclic_r3.max_curvature_magnitudes(spec)
         checks[f"minimal_H_{lam}_{mu}"] = max_h < 1e-6
         checks[f"radius_identity_{lam}_{mu}"] = cyclic_r3.riemann_identity_residual(spec) < 1e-8
 

@@ -426,3 +426,36 @@ def test_traced_layers_resolve_in_the_library():
     assert isinstance(odekit.GUARD_STOP, str) and isinstance(odekit.UNDERFLOW, str)
     assert "rhs" in {f.name for f in dataclasses.fields(odekit.IvpSpec)}
     assert rot_r3.integrate is odekit.integrate
+
+
+# The benchmark's own tests (wbench/tests) are not in this suite; these pin
+# what they and its workloads use of the library, without running it.
+
+def test_conservation_report_builds_by_keyword():
+    rep = rot_r3.ConservationReport(max_residual=1.0, max_closed_form_deviation=0.0)
+    assert (rep.max_residual, rep.max_closed_form_deviation) == (1.0, 0.0)
+
+
+def test_report_reads_first_integral_through_the_module_function(fig3_profile, fig3_structure, monkeypatch):
+    # The benchmark's mutation test stubs first_integral_residual with a
+    # function of (profile, n=2000); report must call it with the profile alone.
+    calls = []
+
+    def corrupted(profile, n=2000):
+        calls.append((profile, n))
+        return rot_r3.ConservationReport(max_residual=1.0, max_closed_form_deviation=0.0)
+
+    assert rot_r3.report(fig3_profile, structure=fig3_structure)["verdicts"]["first_integral"] is True
+    monkeypatch.setattr(rot_r3, "first_integral_residual", corrupted)
+    assert rot_r3.report(fig3_profile, structure=fig3_structure)["verdicts"]["first_integral"] is False
+    assert calls == [(fig3_profile, 2000)]
+
+
+def test_parab_entry_points_keep_their_signatures():
+    inspect.signature(parab_h3.classify).bind(0.5, -1.0, 1.0)
+    fields = {f.name for f in dataclasses.fields(parab_h3.ParabClassification)}
+    assert {"label", "corroborated", "termination_cause"} <= fields
+    profile = object()
+    inspect.signature(parab_h3.mirror_defect).bind(profile)
+    inspect.signature(parab_h3.derivative_identity_residual).bind(profile)
+    inspect.signature(parab_h3.ParabolicProfile.max_relation_residual).bind(profile)

@@ -36,14 +36,14 @@ def perturbed_cone_spec(poly_jets):
 # ---------------------------------------------------------------------------
 
 def test_cylinder_patch_curvatures(unit_cylinder_spec):
-    H, K = max_curvature_magnitudes(unit_cylinder_spec, 8, 16)
+    H, K = max_curvature_magnitudes(unit_cylinder_spec)
     assert abs(H - 0.5) < 1e-12
     assert K < 1e-14
 
 
 def test_cone_patch_is_regular():
     patch = cyclic_patch(generalized_cone(0, 0.3, 0, 0.4, 1, 0.5))
-    forms = geomcore.fundamental_forms(patch, 0.5, 1.2)
+    forms = geomcore.curvature_field(patch, [0.5], [1.2])
     assert forms.E * forms.G - forms.F**2 > 0
 
 
@@ -63,14 +63,14 @@ def test_rotational_case_is_catenary_radius():
     for u, r, f in zip(us.tolist(), r, f):
         assert abs(r - math.cosh(u)) < 1e-10
         assert abs(f) == 0.0
-    H, _ = max_curvature_magnitudes(spec, 20, 24)
+    H, _ = max_curvature_magnitudes(spec)
     assert H < 1e-6
 
 
 @pytest.mark.parametrize("lam,mu", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)])
 def test_minimal_family_has_vanishing_mean_curvature(lam, mu):
     spec = riemann_example(lam, mu, 1.0, 0.0, (-1, 1))
-    H, _ = max_curvature_magnitudes(spec, 25, 32)
+    H, _ = max_curvature_magnitudes(spec)
     assert H < 1e-6
     assert riemann_identity_residual(spec) < 1e-8
 
@@ -194,18 +194,18 @@ def test_riemann_grids_make_one_dense_call_per_direction(cyclic_specs, dense_cal
 # ---------------------------------------------------------------------------
 
 def test_cone_is_flat():
-    _, K = max_curvature_magnitudes(generalized_cone(0, 0.3, 0, 0.4, 1, 0.5), 30, 36)
+    _, K = max_curvature_magnitudes(generalized_cone(0, 0.3, 0, 0.4, 1, 0.5))
     assert K < 1e-9
 
 
 def test_constant_cone_is_cylinder():
-    H, K = max_curvature_magnitudes(generalized_cone(0, 0, 0, 0, 1, 0), 8, 16)
+    H, K = max_curvature_magnitudes(generalized_cone(0, 0, 0, 0, 1, 0))
     assert abs(H - 0.5) < 1e-12
     assert K < 1e-14
 
 
 def test_perturbed_radius_is_not_flat(perturbed_cone_spec):
-    _, K = max_curvature_magnitudes(perturbed_cone_spec, 20, 24)
+    _, K = max_curvature_magnitudes(perturbed_cone_spec)
     assert K > 1e-3
 
 
@@ -288,14 +288,14 @@ def test_coefficients_json_and_csv(tmp_path):
     assert len(rep["A"]) == 13 and len(rep["B"]) == 13
 
     out = tmp_path / "residual.csv"
-    cyclic.export_residual_csv(spec, WeingartenParams(0, 1, 0), out, n_u=4, n_v=8)
+    cyclic.export_residual_csv(spec, WeingartenParams(0, 1, 0), out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "u,v,residual"
-    assert len(lines) == 1 + 4 * 8
+    assert len(lines) == 1 + 20 * 32
     # values round-trip through the 17-significant-digit format
     u, v, _ = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]).T
-    assert u.tolist() == np.repeat(np.linspace(0.0, 1.0, 4), 8).tolist()
-    assert v.tolist() == np.tile(np.linspace(0.0, 2 * math.pi, 8, endpoint=False), 4).tolist()
+    assert u.tolist() == np.repeat(np.linspace(0.0, 1.0, 20), 32).tolist()
+    assert v.tolist() == np.tile(np.linspace(0.0, 2 * math.pi, 32, endpoint=False), 20).tolist()
 
 
 def test_reports_decide_verdicts_and_they_can_fail(poly_jets):

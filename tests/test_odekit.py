@@ -29,7 +29,7 @@ def test_cosine_event_at_pi_third():
         y0=[1.0],
         rtol=1e-12,
         atol=1e-14,
-        events=(Event(fn=lambda s, y: y[0] - 0.5, direction=-1, name="half"),),
+        events=(Event(fn=lambda s, y: y[0] - 0.5, name="half"),),
     )
     traj = integrate(spec, 4.0)
     assert traj.reason == odekit.EVENT_STOP
@@ -39,18 +39,27 @@ def test_cosine_event_at_pi_third():
 
 
 def test_event_direction_filter():
-    # y = cos(s) crosses 0.5 upward near 5pi/3; a direction=+1 event must skip pi/3.
+    # y = cos(s) crosses 0.5 upward near 5pi/3, where 0.5 - y falls through
+    # zero; the event must skip pi/3, where 0.5 - y rises through it.
     spec = IvpSpec(
         rhs=lambda s, y: np.array([-math.sin(s)]),
         s0=0.0,
         y0=[1.0],
         rtol=1e-12,
         atol=1e-14,
-        events=(Event(fn=lambda s, y: y[0] - 0.5, direction=+1),),
+        events=(Event(fn=lambda s, y: 0.5 - y[0]),),
     )
     traj = integrate(spec, 7.0)
     assert traj.reason == odekit.EVENT_STOP
     assert abs(traj.event.s - 5 * math.pi / 3) < 1e-8
+
+
+def test_rising_event_never_stops_a_run():
+    # y = s, so g = y - 0.5 rises through zero at s = 0.5: no stop.
+    spec = IvpSpec(rhs=lambda s, y: (1.0,), s0=0.0, y0=[0.0], events=(Event(fn=lambda s, y: y[0] - 0.5),))
+    traj = integrate(spec, 2.0)
+    assert traj.reason == odekit.REACHED_END
+    assert traj.event is None and traj.s_end == 2.0
 
 
 def test_guard_stops_before_crossing():
@@ -73,6 +82,14 @@ def test_none_rhs_on_initial_state_raises():
     spec = IvpSpec(rhs=lambda s, y: (-1.0,) if y[0] > 0.0 else None, s0=0.0, y0=[-1.0])
     with pytest.raises(ValueError, match="admissible region"):
         integrate(spec, 1.0)
+
+
+@pytest.mark.parametrize("y0, rhs", [([math.nan], lambda s, y: (1.0,)), ([1.0], lambda s, y: (math.nan,))])
+def test_nonfinite_start_raises(y0, rhs):
+    # A NaN state or slope at the start would make every step size NaN,
+    # which no step-size test stops.
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(IvpSpec(rhs=rhs, s0=0.0, y0=y0), 1.0)
 
 
 def test_none_rhs_stops_exactly_like_the_guard():

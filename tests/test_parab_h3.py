@@ -169,6 +169,12 @@ def test_kappa2_is_cos_theta(parab_figure_profiles):
 # Classification
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def figure_classes():
+    # The classifications of the four pinned figure configs, a = 0.5, by b.
+    return {b: classify(0.5, b, Z0) for b in (-1.0, -0.8, -0.2, 0.3)}
+
+
 @pytest.mark.parametrize(
     "b,label",
     [
@@ -178,28 +184,28 @@ def test_kappa2_is_cos_theta(parab_figure_profiles):
         (0.3, CASE_INCOMPLETE_NON_GRAPH),
     ],
 )
-def test_classify_figure_suite(b, label):
-    cls = classify(0.5, b, Z0)
+def test_classify_figure_suite(figure_classes, b, label):
+    cls = figure_classes[b]
     assert cls.label == label
     assert cls.corroborated, cls.corroboration
 
 
-def test_classify_thresholds_closed_form():
-    cls = classify(0.5, -1.0, Z0, corroborate=False)
+def test_classify_thresholds_closed_form(figure_classes):
+    cls = figure_classes[-1.0]
     assert abs(cls.threshold_low - (-(1 + math.sqrt(0.75)) / 2)) < 1e-15
     assert abs(cls.threshold_high - (-(1 - math.sqrt(0.75)) / 2)) < 1e-15
     assert cls.threshold_low < -1.0 + 0.067  # -0.933...
     assert -1.0 < cls.threshold_low  # b = -1 lies below the threshold
 
 
-def test_classify_incomplete_graph_evidence():
-    cls = classify(0.5, -0.8, Z0, corroborate=False)
+def test_classify_incomplete_graph_evidence(figure_classes):
+    cls = figure_classes[-0.8]
     assert cls.threshold_low < -0.8 < -0.25
     assert cls.label == CASE_INCOMPLETE_GRAPH
 
 
-def test_classify_non_graph_sign_evidence():
-    cls = classify(0.5, 0.3, Z0, corroborate=False)
+def test_classify_non_graph_sign_evidence(figure_classes):
+    cls = figure_classes[0.3]
     assert cls.a_minus_2b == pytest.approx(-0.1)
     assert cls.a_minus_2b <= 0
 
@@ -222,21 +228,21 @@ def test_classify_circle_applies_for_any_a():
 def test_classify_out_of_scope_a(a):
     # b = -1.2 keeps these off the circle family (a^2 + 4b^2 + 4b != 0).
     with pytest.raises(OutOfScopeParamsError):
-        classify(a, -1.2, Z0, corroborate=False)
+        classify(a, -1.2, Z0)
 
 
 def test_classify_circle_family_includes_a_zero():
     # a = 0, b = -1 satisfies a^2 + 4b^2 + 4b = 0: the circle test applies
     # before the 0 < a < 1 restriction.
-    cls = classify(0.0, -1.0, Z0, corroborate=False)
+    cls = classify(0.0, -1.0, Z0)
     assert cls.label == CASE_EUCLIDEAN_CIRCLE
 
 
 def test_classify_out_of_scope_boundaries():
     with pytest.raises(OutOfScopeParamsError):
-        classify(0.5, -0.25, Z0, corroborate=False)  # a + 2b = 0
+        classify(0.5, -0.25, Z0)  # a + 2b = 0
     with pytest.raises(OutOfScopeParamsError):
-        classify(0.5, 0.0, Z0, corroborate=False)  # b = 0 within the tree
+        classify(0.5, 0.0, Z0)  # b = 0 within the tree
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +308,8 @@ def test_boundary_angle_no_root():
         boundary_angle(0.5, -0.1)  # not a concave-graph configuration
 
 
-def test_statement_equation_discrepancy_surfaced():
-    cls = classify(0.5, -1.0, Z0, corroborate=False)
+def test_statement_equation_discrepancy_surfaced(figure_classes):
+    cls = figure_classes[-1.0]
     # With b = -1 the published statement form 2cos - b sin^2 = 0 has no root
     # in (-pi/2, 0); the proof form does. Both are reported.
     assert cls.theta1 is not None
@@ -436,7 +442,7 @@ def test_patch_derivatives_consistent(parab_figure_profiles):
 
 def test_curve_csv_columns(parab_figure_profiles, tmp_path):
     out = tmp_path / "parab.csv"
-    parab_h3.export_curve_csv(parab_figure_profiles[(0.5, -1.0)], out, n=101)
+    parab_h3.export_curve_csv(parab_figure_profiles[(0.5, -1.0)], out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "s,x,z,theta,theta_prime,kappa1,kappa2,relation_residual"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
@@ -446,8 +452,8 @@ def test_curve_csv_columns(parab_figure_profiles, tmp_path):
     assert rows[0][2] == pytest.approx(rows[-1][2], abs=1e-15)
 
 
-def test_classification_json_fields():
-    rep = parab_h3.classification_json(classify(0.5, -1.0, Z0))
+def test_classification_json_fields(figure_classes):
+    rep = parab_h3.classification_json(figure_classes[-1.0])
     assert rep["report"] == "parab_h3_classification"
     assert rep["label"] == CASE_COMPLETE_CONCAVE_GRAPH
     assert rep["theta1"] == pytest.approx(-math.pi / 3, abs=1e-9)

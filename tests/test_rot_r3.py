@@ -159,6 +159,40 @@ def test_formula_bound_invalid_configs_fall_back_to_sharp():
     assert rep.max_theta_prime > b.M  # the formula bound really is violated
 
 
+def grid_sharp_slope_bound(params, z0):
+    """The reference M_sharp: the maximum of theta' along the closed-form
+    height over 4097 values of cos(theta), refined by a parabola through the
+    grid maximum and its neighbours when that maximum is interior."""
+    c = np.linspace(-1.0, 1.0, 4097)
+    tp = rot_r3._theta_prime(params, rot_r3._height(params, z0, c), c)
+    k = int(np.argmax(tp))
+    if 0 < k < len(c) - 1:
+        y0, y1, y2 = tp[k - 1], tp[k], tp[k + 1]
+        denom = y0 - 2 * y1 + y2
+        if denom < 0:
+            return float(y1 - 0.25 * (y0 - y2) * (0.5 * (y0 - y2) / denom))
+    return float(tp[k])
+
+
+def test_sharp_slope_bound_matches_grid_search():
+    # M_sharp is theta' at theta = pi in closed form; the grid search over the
+    # whole closed-form curve must find exactly that value. 300 triples from
+    # the acceptance sweep's domain, 300 from the wider hyperbolic one.
+    rng = np.random.default_rng(20)
+    triples = []
+    for _ in range(300):
+        a = rng.uniform(0.8, 2.2)
+        b = -a * a / 4 - rng.uniform(0.15, 0.9)
+        triples.append((a, b, max(-2 * b / a, a) * 1.02 + rng.uniform(0.05, 0.4)))
+    for _ in range(300):
+        a = rng.uniform(0.05, 5.0)
+        b = -a * a / 4 - rng.uniform(1e-3, 10.0)
+        triples.append((a, b, -2 * b / a * (1 + rng.uniform(1e-3, 3.0))))
+    for a, b, z0 in triples:
+        p = WeingartenParams(a, b, 1.0)
+        assert rot_r3.slope_bounds(p, z0).M_sharp == grid_sharp_slope_bound(p, z0), (a, b, z0)
+
+
 def test_bound_violation_detected_on_corrupted_profile(fig3_profile, fig3_structure):
     # Corrupting the bound constants must trip the checker and the verdict.
     bad_bounds = dataclasses.replace(fig3_profile.bounds, M=-10.0, M_sharp=-10.0)
