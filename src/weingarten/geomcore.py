@@ -1,7 +1,7 @@
 """First/second fundamental forms, mean/Gauss/principal curvatures of
 parametrized surface patches in Euclidean coordinates, the linear
 Weingarten relation residual a*H + b*K - c, and the arc-length profile
-system and mirror check shared by the profile-curve families.
+system and its reversal check shared by the profile-curve families.
 
 The normal convention is N = (X_u x X_v)/|X_u x X_v| throughout, so the
 patch's parametrization fixes the orientation. Principal curvatures are
@@ -68,12 +68,11 @@ def profile_columns(states) -> list:
     return [c[:, None] for c in (x, z, th, *cos_sin(th))]
 
 
-def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
+def profile_rhs(theta_prime):
     """The arc-length profile system x' = cos(theta), z' = sin(theta),
-    theta' = theta_prime(z, cos(theta), sin(theta)) from (x, z, theta) =
-    (0, z0, 0), with relative tolerance ``tol`` and absolute tolerance
-    tol * 1e-2. The trigonometry is ``math``'s, and the right-hand side is
-    None where theta_prime is None (outside its admissible region)."""
+    theta' = theta_prime(z, cos(theta), sin(theta)) on states (x, z, theta),
+    with ``math``'s trigonometry; None where theta_prime is None (outside its
+    admissible region)."""
 
     def rhs(s, y):
         _, z, th = y
@@ -82,14 +81,28 @@ def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
         tp = theta_prime(z, ct, st)
         return None if tp is None else (ct, st, tp)
 
-    return IvpSpec(rhs=rhs, s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+    return rhs
 
 
-def mirror_defects(forward, backward, s) -> np.ndarray:
-    """Per-component max over ``s`` of |y_b(-s) - R y_f(s)|, R = diag(-1, 1, -1):
-    how far the backward profile ``backward`` is from the mirror image about
-    x = 0 of the forward profile ``forward``."""
-    return np.max(np.abs(backward(-s) - forward(s) * np.array([-1.0, 1.0, -1.0])), axis=0)
+def profile_spec(theta_prime, z0: float, tol: float, events=()) -> IvpSpec:
+    """``profile_rhs(theta_prime)`` from (x, z, theta) = (0, z0, 0), with
+    relative tolerance ``tol`` and absolute tolerance tol * 1e-2."""
+    return IvpSpec(rhs=profile_rhs(theta_prime), s0=0.0, y0=[0.0, z0, 0.0], rtol=tol, atol=tol * 1e-2, events=events)
+
+
+def reversal_defect(theta_prime, s, states) -> float:
+    """max |f(-s, R y) + R f(s, y)| over the samples (s, y) and components,
+    f = ``profile_rhs(theta_prime)``, R = diag(-1, 1, -1): zero where the
+    system is reversible, so that the solution through (0, z0, 0) is
+    symmetric about x = 0. A sample where f is None counts as inf."""
+    rhs = profile_rhs(theta_prime)
+    rows = []
+    for si, (x, z, th) in zip(np.asarray(s).tolist(), np.asarray(states).tolist()):
+        f, g = rhs(si, (x, z, th)), rhs(-si, (-x, z, -th))
+        if f is None or g is None:
+            return math.inf
+        rows.append((g[0] - f[0], g[1] + f[1], g[2] - f[2]))
+    return float(np.max(np.abs(rows), initial=0.0))
 
 
 class Curvatures(NamedTuple):

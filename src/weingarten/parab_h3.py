@@ -33,7 +33,7 @@ from .errors import (
     OutOfScopeParamsError,
     StepUnderflowError,
 )
-from .geomcore import SurfacePatch, cos_sin, grid_vec, mirror_defects, profile_columns, profile_spec
+from .geomcore import SurfacePatch, cos_sin, grid_vec, profile_columns, profile_spec, reversal_defect
 from .odekit import Event, find_root, integrate
 
 CASE_DEGENERATE_LINE = "DegenerateLine"
@@ -140,21 +140,16 @@ class ParabolicProfile:
         return float(np.max(np.abs(relation_residual(self.a, self.b, z, theta, tp))))
 
 
-def _solve(a: float, b: float, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
-    """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
-    s_end, stopping at the breakdown events and then at ``events``."""
-    events = (
-        Event(fn=lambda s, y: y[1] - Z_FLOOR, name="z_floor"),
-        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - DEN_FLOOR, name="denominator"),
-        *events,
-    )
+def _admissible_theta_prime(a: float, b: float):
+    """theta'(z, cos(theta), sin(theta)) of the profile system where z > 0 and
+    |a + 2b cos(theta)| > HARD_DENOMINATOR_FLOOR, None elsewhere."""
 
     def theta_prime(z, ct, st):
         if z > 0.0 and abs(_den(a, b, ct)) > HARD_DENOMINATOR_FLOOR:
             return _theta_prime(a, b, z, ct, st)
         return None
 
-    return integrate(profile_spec(theta_prime, z0, tol, events), s_end)
+    return theta_prime
 
 
 def _check_z0(z0: float) -> None:
@@ -188,8 +183,12 @@ def integrate_parabolic(
     _check_z0(z0)
     initial_slope(a, b, z0)  # validates the a + 2b boundary equality
 
-    angle_span = Event(fn=lambda s, y: 2 * math.pi * MAX_TURNS - abs(y[2]), name="angle_span")
-    traj = _solve(a, b, z0, tol, horizon, events=(angle_span,))
+    events = (
+        Event(fn=lambda s, y: y[1] - Z_FLOOR, name="z_floor"),
+        Event(fn=lambda s, y: abs(_den(a, b, math.cos(y[2]))) - DEN_FLOOR, name="denominator"),
+        Event(fn=lambda s, y: 2 * math.pi * MAX_TURNS - abs(y[2]), name="angle_span"),
+    )
+    traj = integrate(profile_spec(_admissible_theta_prime(a, b), z0, tol, events), horizon)
     if traj.reason == odekit.UNDERFLOW and len(traj.s) == 1:
         raise StepUnderflowError(f"the first step from z0 = {z0} underflows: nothing to verify", trajectory=traj)
     causes = {odekit.REACHED_END: "horizon", odekit.GUARD_STOP: "guard", odekit.UNDERFLOW: "step_underflow"}
@@ -573,11 +572,10 @@ def parab_patch(profile: ParabolicProfile, t_range=(-1.0, 1.0)) -> ParabolicPatc
 
 
 def mirror_defect(profile: ParabolicProfile) -> float:
-    """Integrate backward and compare against the mirrored forward branch."""
-    back = _solve(profile.a, profile.b, profile.z0, profile.tol, -profile.s_max)
-    s_hi = 0.999 * min(profile.s_max, abs(back.s_end))
-    dx, dz, dtheta = mirror_defects(profile.trajectory, back, np.linspace(0.0, s_hi, 200))
-    return float(dx + dz + dtheta)
+    """Mirror-symmetry defect about x = 0: the reversal defect of the profile
+    system (``geomcore.reversal_defect``) at 200 states on [0, 0.999 s_max]."""
+    s = np.linspace(0.0, 0.999 * profile.s_max, 200)
+    return reversal_defect(_admissible_theta_prime(profile.a, profile.b), s, profile.trajectory(s))
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,11 @@ class HyperbolicProfile:
         return s, x, z, theta, slope(self.params, z, theta)
 
 
-def _solve(p: WeingartenParams, z0: float, tol: float, s_end: float, events=()) -> odekit.Trajectory:
-    """Integrate the profile system from (x, z, theta) = (0, z0, 0) towards
-    s_end; theta' is admissible where a z + 2 b cos(theta) > 0."""
+def _admissible_theta_prime(p: WeingartenParams):
+    """theta'(z, cos(theta), sin(theta)) of the profile system where
+    a z + 2 b cos(theta) > 0, None elsewhere."""
     a, b = p.a, p.b
-    theta_prime = lambda z, ct, st: _theta_prime(p, z, ct) if a * z + 2 * b * ct > 0.0 else None
-    return integrate(profile_spec(theta_prime, z0, tol, events), s_end)
+    return lambda z, ct, st: _theta_prime(p, z, ct) if a * z + 2 * b * ct > 0.0 else None
 
 
 def integrate_profile(
@@ -177,7 +176,7 @@ def integrate_profile(
     full_turns = Event(fn=lambda s, y: y[2] - theta_goal, name="full_turns")
     # theta' <= M < 0, so each turn takes at most 2*pi/|M|.
     horizon = 2.0 * math.pi * n_periods / abs(bounds.M) * 1.05 + 1.0
-    traj = _solve(p, z0, tol, horizon, events=(full_turns,))
+    traj = integrate(profile_spec(_admissible_theta_prime(p), z0, tol, (full_turns,)), horizon)
 
     if traj.reason == odekit.GUARD_STOP:
         raise GuardViolationError(
@@ -354,43 +353,23 @@ def polyline_self_intersections(points: np.ndarray):
 
 
 def self_intersections(profile: HyperbolicProfile):
-    """Profile self-intersections as (s_a, s_b, point) with s_a < s_b.
+    """Profile self-intersections as parameter pairs (s_a, s_b), s_a < s_b.
 
     Found by exact segment-segment intersection over the dense polyline
-    (DEFAULT_SAMPLES_PER_PERIOD points per period), then refined by re-sampling
-    the dense output locally around each candidate. The curve continues to
-    s < 0 as its mirror image about x = 0, so a return of x to zero at some
+    (DEFAULT_SAMPLES_PER_PERIOD points per period) and located by linear
+    interpolation along the crossing segments, which is all that the
+    crossing classes of ``structure_report`` need. The curve continues to
+    s < 0 as its mirror image about x = 0, so a sign change of x at some
     s* > 0 is a crossing of the parameter pair (-s*, s*); those axis
     crossings are included (with a negative first parameter).
     """
     n = DEFAULT_SAMPLES_PER_PERIOD * profile.n_periods + 1
     s, x, z, _, _ = profile.sample(n)
     ds = s[1] - s[0]
-    raw = polyline_self_intersections(np.column_stack([x, z]))
-    results = []
-    traj = profile.trajectory
-
-    crossings = np.nonzero(np.diff(np.signbit(x[1:])))[0] + 1
-    for k in crossings:
-        s_star = find_root(lambda ss: traj(ss)[0], (float(s[k]), float(s[k + 1])), tol=1e-12)
-        results.append((-float(s_star), float(s_star), (0.0, float(traj(s_star)[1]))))
-    for i, t, j, w in raw:
-        sa, sb = s[i] + t * ds, s[j] + w * ds
-        # local refinement on the dense output
-        fine = 32
-        ga = np.linspace(max(sa - ds, 0.0), min(sa + ds, profile.s_end), fine)
-        gb = np.linspace(max(sb - ds, 0.0), min(sb + ds, profile.s_end), fine)
-        pa = traj(ga)[:, :2]
-        pb = traj(gb)[:, :2]
-        ii, jj = np.divmod(np.arange((fine - 1) ** 2), fine - 1)
-        k, tt, ww = _crossings(pa[ii], pa[ii + 1], pb[jj], pb[jj + 1])
-        if len(k):  # the first crossing in (ii, jj) row-major order
-            ia, ib = ii[k[0]], jj[k[0]]
-            sa = ga[ia] + tt[0] * (ga[ia + 1] - ga[ia])
-            sb = gb[ib] + ww[0] * (gb[ib + 1] - gb[ib])
-        point = traj(sa)[:2]
-        results.append((float(sa), float(sb), (float(point[0]), float(point[1]))))
-    return results
+    k = np.nonzero(np.diff(np.signbit(x[1:])))[0] + 1
+    axis = [(-sk, sk) for sk in (s[k] + x[k] / (x[k] - x[k + 1]) * ds).tolist()]
+    crossings = polyline_self_intersections(np.column_stack([x, z]))
+    return axis + [(float(s[i] + t * ds), float(s[j] + w * ds)) for i, t, j, w in crossings]
 
 
 _QUARTER_EXPECTATION = (
@@ -427,7 +406,8 @@ def structure_report(profile: HyperbolicProfile) -> StructureReport:
     points of one period, locate self-intersections, verify the sign of the
     Gauss curvature on the arcs separated by vertical points (via geomcore on
     the revolved surface), and measure the mirror-symmetry defect about x=0
-    by backward integration."""
+    as the reversal defect of the profile system on [0, T/2]
+    (``geomcore.reversal_defect``)."""
     T = profile.period
     T1, T2, T3 = profile.quarter_times
     traj = profile.trajectory
@@ -469,7 +449,7 @@ def structure_report(profile: HyperbolicProfile) -> StructureReport:
     # classes: by the separately verified translation invariance, each class
     # occurs once in every period of the periodic extension.
     intersections = self_intersections(profile)
-    folded = sorted(((sa + sb) / 2) % T for sa, sb, _ in intersections)
+    folded = sorted(((sa + sb) / 2) % T for sa, sb in intersections)
     classes = []
     for m in folded:
         wrapped = min(m, T - m)  # distance to 0 for boundary-straddling classes
@@ -490,10 +470,9 @@ def structure_report(profile: HyperbolicProfile) -> StructureReport:
         gauss_arcs.append((float(s_lo), float(s_hi), sign, expected))
         gauss_ok = gauss_ok and sign == expected
 
-    # Mirror symmetry about x = 0: integrate backward and compare.
-    back = _solve(profile.params, profile.z0, profile.tol, -T / 2)
-    dx, dz, _ = geomcore.mirror_defects(traj, back, np.linspace(0.0, T / 2, 200))
-    symmetry_defect = float(dx + dz)
+    # Mirror symmetry about x = 0: the system is reversible at the sampled states.
+    s_half = np.linspace(0.0, T / 2, 200)
+    symmetry_defect = geomcore.reversal_defect(_admissible_theta_prime(profile.params), s_half, traj(s_half))
 
     return StructureReport(
         monotonicity=monotonicity,

@@ -46,6 +46,23 @@ def scaled_height():
 
 
 @pytest.fixture
+def integrate_calls(monkeypatch):
+    """The ``odekit.integrate`` calls the test makes, through every module
+    that imported it by name: one (spec, s_end) tuple per call."""
+    calls = []
+    integrate = odekit.integrate
+
+    def counted(spec, s_end, *args, **kwargs):
+        calls.append((spec, s_end))
+        return integrate(spec, s_end, *args, **kwargs)
+
+    for module in (odekit, rot_r3, parab_h3, cyclic_r3):
+        if getattr(module, "integrate", None) is integrate:
+            monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
+@pytest.fixture
 def dense_call_shapes(monkeypatch):
     """The shape of ``s`` in every dense-output call the test makes: () for
     a scalar call, (n,) for an array call."""

@@ -13,6 +13,7 @@ from weingarten.geomcore import (
     curvature_field,
     curvatures,
     finite_difference_patch,
+    reversal_defect,
     weingarten_residual,
 )
 
@@ -397,3 +398,14 @@ def test_curvature_field_calls_partials_once_and_never_position(paper_patches):
         weingarten_residual(counting, WeingartenParams(1, 0, 0), us, vs)
         curvatures(counting, float(us[3]), float(vs[2]))
         assert calls == {"partials": 3}, name
+
+
+def test_reversal_defect_of_even_and_odd_theta_prime():
+    # theta' even in theta: reversible, exactly 0. theta' = sin(theta) is odd:
+    # f(-s, R y) + R f(s, y) = (0, 0, -2 sin(theta)). A sample outside the
+    # admissible region (theta' None) counts as inf, never as a skip.
+    s = np.linspace(0.0, 2.0, 5)
+    states = np.column_stack([np.sin(s), 1.0 + s, -s])
+    assert reversal_defect(lambda z, ct, st: (ct - 2 * z) / z, s, states) == 0.0
+    assert reversal_defect(lambda z, ct, st: st, s, states) == 2 * max(abs(math.sin(t)) for t in s)
+    assert reversal_defect(lambda z, ct, st: None if z > 2.5 else ct, s, states) == math.inf

@@ -499,8 +499,37 @@ def test_profile_report_verdicts_flip_on_scaled_height(parab_figure_profiles, sc
         "relation_residual": True, "mirror_symmetry": True, "derivative_identity": True,
     }
     verdicts = parab_h3.profile_report(scaled_height(prof, 1.05))["verdicts"]
-    assert verdicts["mirror_symmetry"] is False
     assert verdicts["derivative_identity"] is False
+
+
+def test_mirror_symmetry_flips_on_an_irreversible_system(parab_figure_profiles, monkeypatch):
+    # theta' + eps sin(theta) is not even in theta, so the system the check
+    # evaluates is not reversible: the defect is 2 eps max|sin(theta)| over
+    # the 200 states sampled on [0, 0.999 s_max].
+    prof = parab_figure_profiles[(0.5, -0.2)]
+    assert mirror_defect(prof) == 0.0
+    eps = 1e-6
+    admissible = parab_h3._admissible_theta_prime
+
+    def mutated(a, b):
+        theta_prime = admissible(a, b)
+        return lambda z, ct, st: theta_prime(z, ct, st) + eps * st
+
+    monkeypatch.setattr(parab_h3, "_admissible_theta_prime", mutated)
+    theta = prof.trajectory(np.linspace(0.0, 0.999 * prof.s_max, 200))[:, 2]
+    assert mirror_defect(prof) == pytest.approx(2 * eps * np.max(np.abs(np.sin(theta))), rel=1e-6)
+    assert parab_h3.profile_report(prof)["verdicts"] == {
+        "relation_residual": True, "mirror_symmetry": False, "derivative_identity": True,
+    }
+
+
+def test_one_integration_per_profile_report_and_per_classification(integrate_calls):
+    # integrate_parabolic solves the profile once and profile_report checks
+    # it without solving again; classify solves once to corroborate.
+    parab_h3.profile_report(integrate_parabolic(0.5, -0.2, 1.0))
+    assert len(integrate_calls) == 1
+    classify(0.5, -0.2, 1.0)
+    assert len(integrate_calls) == 2
 
 
 def test_profile_report_fails_on_empty_trajectory():

@@ -104,13 +104,16 @@ def test_solve_stops_where_the_denominator_vanishes():
     # Outside the studied parameters a z + 2b cos(theta) reaches 0: the run
     # ends just before it with reason guard. A start outside the region is
     # refused.
+    def solve(p, z0):
+        return odekit.integrate(geomcore.profile_spec(rot_r3._admissible_theta_prime(p), z0, 1e-10), 30.0)
+
     p = WeingartenParams(-2, 2, 1)
-    traj = rot_r3._solve(p, -3.0, 1e-10, 30.0)
+    traj = solve(p, -3.0)
     assert traj.reason == odekit.GUARD_STOP
     z, theta = traj.states[-1, 1:]
     assert 0.0 < p.a * z + 2 * p.b * math.cos(theta) < 1e-5
     with pytest.raises(ValueError, match="admissible region"):
-        rot_r3._solve(FIG3, 0.5, 1e-10, 30.0)
+        solve(FIG3, 0.5)
 
 
 def test_theta_strictly_decreasing(fig3_profile):
@@ -407,12 +410,42 @@ def test_each_structure_field_drives_its_own_verdict(fig3_profile, fig3_structur
 
 
 def test_mirror_symmetry_verdict_flips_on_scaled_height(fig3_profile, scaled_height):
-    # The backward solve starts from the true (z0, tol), so a forward branch
-    # with z scaled by 1.05 is no longer its mirror image.
-    structure = rot_r3.structure_report(scaled_height(fig3_profile, 1.05))
-    assert structure.symmetry_defect > 0.1
+    # z scaled by 1.05 along the dense output breaks the first integral.
+    # mirror_symmetry no longer reads the stored profile: it checks that the
+    # profile system is reversible, which holds at any state, so its defect
+    # stays exactly 0 on the corrupted profile.
+    rep = rot_r3.report(scaled_height(fig3_profile, 1.05))
+    assert rep["verdicts"]["first_integral"] is False
+    assert rep["symmetry_defect"] == 0.0
+
+
+def test_mirror_symmetry_flips_on_an_irreversible_system(fig3_profile, fig3_structure, monkeypatch):
+    # theta' + eps sin(theta) is not even in theta, so the system the check
+    # evaluates is not reversible: f(-s, R y) + R f(s, y) has the theta
+    # component -2 eps sin(theta), and the defect is 2 eps max|sin(theta)|
+    # over the 200 states sampled on [0, T/2].
+    assert fig3_structure.symmetry_defect == 0.0
+    eps = 1e-6
+    admissible = rot_r3._admissible_theta_prime
+
+    def mutated(p):
+        theta_prime = admissible(p)
+        return lambda z, ct, st: theta_prime(z, ct, st) + eps * st
+
+    monkeypatch.setattr(rot_r3, "_admissible_theta_prime", mutated)
+    structure = rot_r3.structure_report(fig3_profile)
+    theta = fig3_profile.trajectory(np.linspace(0.0, fig3_profile.period / 2, 200))[:, 2]
+    assert structure.symmetry_defect == pytest.approx(2 * eps * np.max(np.abs(np.sin(theta))), rel=1e-6)
     verdicts = rot_r3.report(fig3_profile, structure=structure)["verdicts"]
-    assert verdicts["mirror_symmetry"] is False
+    assert verdicts.pop("mirror_symmetry") is False
+    assert all(v is True for v in verdicts.values()), verdicts
+
+
+def test_one_integration_per_verified_profile(integrate_calls):
+    # integrate_profile solves the profile once, and report checks it
+    # without solving again.
+    rot_r3.report(rot_r3.integrate_profile(FIG3, 3.0, n_periods=2))
+    assert len(integrate_calls) == 1
 
 
 # ---------------------------------------------------------------------------

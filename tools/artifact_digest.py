@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from weingarten import cli  # noqa: E402
 
-EXPECTED = "3ae6f1a6f7b24fec20caf328a25e0f79bace178be0372ff091ac619808136f37"
+EXPECTED = "96da98a7b7922af5516afc1066960be51e9b8c1168910b008939a57382f8b528"
 EXPECTED_NUMPY = "2.4.6"
 
 ROT = ["--a", "2", "--b", "-2", "--z0", "3"]

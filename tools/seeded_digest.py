@@ -43,7 +43,7 @@ sys.path.insert(0, str(ROOT / "wbench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-EXPECTED = "4c62d899e68ce60935387ec80f190d50c2de1643fd0ac2ada0981556a0bcf645"
+EXPECTED = "1c71da1991c52cabc7cbb4595419a8867cda53d1397d30f3d3cda0bd2a2e3bf2"
 EXPECTED_NUMPY = "2.4.6"
 
 SEEDS = range(1, 11)
